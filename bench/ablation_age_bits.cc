@@ -37,9 +37,8 @@ main(int argc, char **argv)
     policies.push_back("RLR");
     labels.push_back("optimized (2-bit age, 8-miss tick)");
 
-    std::vector<std::string> all = {"LRU"};
-    all.insert(all.end(), policies.begin(), policies.end());
-    const auto cells = bench::runSweep(opt, workloads, all);
+    const auto cells = bench::runSweep(
+        opt, workloads, bench::withLruBaseline(policies));
 
     util::Table table({"Configuration", "Bits/line",
                        "Speedup over LRU (%)"});

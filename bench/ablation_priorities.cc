@@ -25,9 +25,8 @@ main(int argc, char **argv)
     const std::vector<std::string> policies = {
         "RLR", "RLR-nohit", "RLR-notype"};
 
-    std::vector<std::string> all = {"LRU"};
-    all.insert(all.end(), policies.begin(), policies.end());
-    const auto cells = bench::runSweep(opt, workloads, all);
+    const auto cells = bench::runSweep(
+        opt, workloads, bench::withLruBaseline(policies));
 
     std::vector<double> overall(policies.size(), 0.0);
     for (size_t p = 0; p < policies.size(); ++p) {

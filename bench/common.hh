@@ -9,6 +9,7 @@
 #ifndef RLR_BENCH_COMMON_HH
 #define RLR_BENCH_COMMON_HH
 
+#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -477,6 +478,20 @@ trainingNames()
 }
 
 /**
+ * @p policies with LRU, the baseline every figure normalizes to,
+ * prepended unless already listed — listing it twice would
+ * simulate every LRU cell twice.
+ */
+inline std::vector<std::string>
+withLruBaseline(const std::vector<std::string> &policies)
+{
+    std::vector<std::string> all = policies;
+    if (std::find(all.begin(), all.end(), "LRU") == all.end())
+        all.insert(all.begin(), "LRU");
+    return all;
+}
+
+/**
  * Shared driver for the IPC-speedup figures (Figs. 10/11): sweep
  * (workloads x {LRU + policies}), print per-benchmark % speedup
  * over LRU and the overall geomean.
@@ -487,10 +502,8 @@ runSpeedupFigure(const BenchOptions &opt,
                  const std::vector<std::string> &policies,
                  const std::string &title)
 {
-    std::vector<std::string> all_policies = {"LRU"};
-    all_policies.insert(all_policies.end(), policies.begin(),
-                        policies.end());
-    const auto cells = runSweep(opt, workloads, all_policies);
+    const auto cells =
+        runSweep(opt, workloads, withLruBaseline(policies));
 
     std::vector<std::string> header = {"Benchmark"};
     for (const auto &p : policies)

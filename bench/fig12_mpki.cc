@@ -25,15 +25,13 @@ main(int argc, char **argv)
     if (policies.empty())
         policies = core::paperPolicies();
 
-    std::vector<std::string> all_policies = {"LRU"};
-    all_policies.insert(all_policies.end(), policies.begin(),
-                        policies.end());
+    const auto all_policies = bench::withLruBaseline(policies);
     const auto cells =
         bench::runSweep(opt, workloads, all_policies);
 
-    std::vector<std::string> header = {"Benchmark", "LRU"};
-    for (const auto &p : policies)
-        header.push_back(p);
+    std::vector<std::string> header = {"Benchmark"};
+    header.insert(header.end(), all_policies.begin(),
+                  all_policies.end());
     util::Table table(header);
 
     for (const auto &w : workloads) {
@@ -41,9 +39,8 @@ main(int argc, char **argv)
         const double base_mpki = base.result.llcDemandMpki();
         if (base_mpki <= 3.0)
             continue; // the paper only plots MPKI > 3
-        std::vector<std::string> row = {
-            w, util::Table::fmt(base_mpki, 2)};
-        for (const auto &p : policies) {
+        std::vector<std::string> row = {w};
+        for (const auto &p : all_policies) {
             row.push_back(util::Table::fmt(
                 sim::findCell(cells, w, p).result.llcDemandMpki(),
                 2));

@@ -29,11 +29,8 @@ main(int argc, char **argv)
     const auto mixes =
         bench::makeMixes(bench::specNames(), n_mixes, opt.seed);
 
-    std::vector<std::string> all_policies = {"LRU"};
-    all_policies.insert(all_policies.end(), policies.begin(),
-                        policies.end());
-    const auto cells =
-        bench::multicoreSweep(opt, mixes, all_policies);
+    const auto cells = bench::multicoreSweep(
+        opt, mixes, bench::withLruBaseline(policies));
 
     std::vector<std::string> header = {"Mix"};
     for (const auto &p : policies)

@@ -75,9 +75,8 @@ class FlatMemory : public cache::MemoryLevel
 /** Observability attachment for the cache-access benchmarks. */
 enum class Tracing
 {
-    /** No EventLog / EpochSampler (the disabled path: one
-     *  dispatch branch into a hook-free access body, bounded at
-     *  <2% by tests/test_obs_overhead.cc). */
+    /** No EventLog / EpochSampler (the detached path: each hook
+     *  site is one predicted null check). */
     Off,
     /** EventLog on every set. */
     Events,

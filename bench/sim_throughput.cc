@@ -1,34 +1,19 @@
 /**
  * @file
- * Simulated-accesses-per-second benchmark for the LLC hot path —
- * the perf-trajectory artifact behind BENCH_sim_throughput.json.
+ * Simulated-accesses-per-second benchmark for the LLC hot path.
  *
  * For every policy it replays one deterministic synthetic trace
- * through three cache builds:
- *
- *  - typed:    cache::Cache with its devirtualized compile-time
- *              dispatch path (the default);
- *  - virtual:  the same cache forced onto the virtual-dispatch
- *              fallback (Cache::setForceGenericDispatch);
- *  - baseline: a frozen re-implementation of the pre-optimization
- *              hot path (AoS block array, per-access string-keyed
- *              counter lookups, a fresh std::vector<BlockView>
- *              allocation per victim fill, virtual policy calls),
- *              kept behaviourally identical (same MSHR and
- *              writeback-bypass protocol) so its counts must match.
- *
- * Every run doubles as a differential oracle: the three builds
- * must agree on all replacement/stat counters and on the checksum
- * of per-access completion times, or the run fails. --check-speedup
- * turns the typed-vs-virtual ratio into a pass/fail regression
- * guard for ctest; scripts/ci.sh exports the JSON every run.
+ * through the production cache::Cache (best of --reps timed
+ * replays), then once more with the scoped self-profiler armed for
+ * the per-phase breakdown, and prints/exports both. The
+ * whole-System benchmark of record is bench/e2e; this one isolates
+ * the LLC so per-policy costs can be compared directly
+ * (docs/PERFORMANCE.md).
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <functional>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -38,7 +23,6 @@
 #include "stats/stats.hh"
 #include "trace/record.hh"
 #include "util/args.hh"
-#include "util/format.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 #include "util/table.hh"
@@ -109,233 +93,6 @@ makeTrace(uint64_t accesses, uint32_t pool_lines, uint64_t seed)
     return trace;
 }
 
-/**
- * Frozen pre-optimization hot path: array-of-structs blocks,
- * string-keyed StatSet lookups on every access, a fresh BlockView
- * vector per victim fill, and virtual dispatch into the policy.
- * The *protocol* (MSHR reservation, writeback-bypass denial) is
- * the fixed one, so all counters must match the production cache —
- * only the per-access software cost is frozen at the old design.
- */
-class BaselineCache
-{
-  public:
-    BaselineCache(cache::CacheGeometry geom,
-                  std::unique_ptr<cache::ReplacementPolicy> policy,
-                  cache::MemoryLevel *next)
-        : geom_(std::move(geom)), policy_(std::move(policy)),
-          next_(next), stats_(geom_.name)
-    {
-        geom_.validate();
-        blocks_.resize(static_cast<size_t>(geom_.numSets()) *
-                       geom_.ways);
-        policy_->bind(geom_);
-    }
-
-    uint64_t
-    access(const cache::MemRequest &req, uint64_t now)
-    {
-        now += geom_.latency;
-        const uint64_t line =
-            cache::CacheGeometry::lineAddress(req.address);
-        const uint64_t tag = geom_.tag(line);
-        const uint32_t set = geom_.setIndex(line);
-
-        uint32_t hit_way = geom_.ways;
-        for (uint32_t w = 0; w < geom_.ways; ++w) {
-            const Block &b = block(set, w);
-            if (b.valid && b.tag == tag) {
-                hit_way = w;
-                break;
-            }
-        }
-        const bool demand = trace::isDemand(req.type);
-
-        if (hit_way != geom_.ways) {
-            Block &b = block(set, hit_way);
-            const bool merged = b.ready_at > now;
-            if (demand)
-                b.prefetch = false;
-            if (req.type == trace::AccessType::Writeback)
-                b.dirty = true;
-            if (merged) {
-                countAccess(req.type, false);
-                ++stats_.counter("mshr_merges");
-                return std::max(now, b.ready_at);
-            }
-            countAccess(req.type, true);
-            cache::AccessContext ctx;
-            ctx.cpu = req.cpu;
-            ctx.set = set;
-            ctx.way = hit_way;
-            ctx.full_addr = req.address;
-            ctx.pc = req.pc;
-            ctx.type = req.type;
-            ctx.hit = true;
-            policy_->onAccess(ctx);
-            return now;
-        }
-
-        countAccess(req.type, false);
-        if (req.type == trace::AccessType::Writeback) {
-            fill(req, now, /*dirty=*/true);
-            return now;
-        }
-
-        const uint64_t issue = now;
-        uint64_t ready = next_->access(req, issue);
-        ready = std::max(ready, issue);
-        const uint64_t start = mshrAdmit(issue);
-        ready += start - issue;
-        inflight_.push(ready);
-        fill(req, ready, /*dirty=*/false);
-        return ready;
-    }
-
-    const stats::StatSet &statSet() const { return stats_; }
-
-  private:
-    struct Block
-    {
-        bool valid = false;
-        bool dirty = false;
-        bool prefetch = false;
-        uint64_t tag = 0;
-        uint64_t address = 0;
-        uint64_t ready_at = 0;
-    };
-
-    Block &
-    block(uint32_t set, uint32_t way)
-    {
-        return blocks_[static_cast<size_t>(set) * geom_.ways + way];
-    }
-
-    /** The frozen key builder: string temporaries per call. */
-    static std::string
-    typeKey(trace::AccessType type, const char *suffix)
-    {
-        return std::string(trace::accessTypeName(type)) + "_" +
-               suffix;
-    }
-
-    void
-    countAccess(trace::AccessType type, bool hit)
-    {
-        // The frozen cost model: string-keyed map lookups on every
-        // single access.
-        ++stats_.counter(typeKey(type, "access"));
-        ++stats_.counter(typeKey(type, hit ? "hit" : "miss"));
-    }
-
-    uint64_t
-    mshrAdmit(uint64_t now)
-    {
-        while (!inflight_.empty() && inflight_.top() <= now)
-            inflight_.pop();
-        if (inflight_.size() >= geom_.mshrs) {
-            now = std::max(now, inflight_.top());
-            inflight_.pop();
-            ++stats_.counter("mshr_stalls");
-        }
-        return now;
-    }
-
-    void
-    fill(const cache::MemRequest &req, uint64_t ready, bool dirty)
-    {
-        const uint64_t line =
-            cache::CacheGeometry::lineAddress(req.address);
-        const uint32_t set = geom_.setIndex(line);
-
-        uint32_t way = geom_.ways;
-        for (uint32_t w = 0; w < geom_.ways; ++w) {
-            if (!block(set, w).valid) {
-                way = w;
-                break;
-            }
-        }
-
-        if (way == geom_.ways) {
-            // The frozen cost model: one heap allocation per
-            // victim selection.
-            std::vector<cache::BlockView> views(geom_.ways);
-            for (uint32_t w = 0; w < geom_.ways; ++w) {
-                const Block &b = block(set, w);
-                views[w] = cache::BlockView{b.valid, b.dirty,
-                                            b.prefetch, b.address};
-            }
-            cache::AccessContext ctx;
-            ctx.cpu = req.cpu;
-            ctx.set = set;
-            ctx.full_addr = req.address;
-            ctx.pc = req.pc;
-            ctx.type = req.type;
-            ctx.hit = false;
-            way = policy_->findVictim(ctx, views);
-            if (way == cache::ReplacementPolicy::kBypass) {
-                if (req.type != trace::AccessType::Writeback) {
-                    ++stats_.counter("bypasses");
-                    return;
-                }
-                ++stats_.counter("wb_bypass_denied");
-                ctx.allow_bypass = false;
-                way = policy_->findVictim(ctx, views);
-                if (way == cache::ReplacementPolicy::kBypass)
-                    way = 0;
-            }
-            util::ensure(way < geom_.ways,
-                         "BaselineCache: bad victim way");
-
-            Block &victim = block(set, way);
-            if (victim.valid) {
-                policy_->onEviction(
-                    set, way,
-                    cache::BlockView{victim.valid, victim.dirty,
-                                     victim.prefetch,
-                                     victim.address});
-                ++stats_.counter("evictions");
-                if (victim.dirty) {
-                    cache::MemRequest wb;
-                    wb.address = victim.address;
-                    wb.pc = 0;
-                    wb.type = trace::AccessType::Writeback;
-                    wb.cpu = req.cpu;
-                    ++stats_.counter("writebacks_issued");
-                    next_->access(wb, ready);
-                }
-            }
-        }
-
-        Block &b = block(set, way);
-        b.valid = true;
-        b.dirty = dirty;
-        b.prefetch = req.type == trace::AccessType::Prefetch;
-        b.tag = geom_.tag(line);
-        b.address = line;
-        b.ready_at = ready;
-
-        cache::AccessContext ctx;
-        ctx.cpu = req.cpu;
-        ctx.set = set;
-        ctx.way = way;
-        ctx.full_addr = req.address;
-        ctx.pc = req.pc;
-        ctx.type = req.type;
-        ctx.hit = false;
-        policy_->onAccess(ctx);
-    }
-
-    cache::CacheGeometry geom_;
-    std::unique_ptr<cache::ReplacementPolicy> policy_;
-    cache::MemoryLevel *next_;
-    stats::StatSet stats_;
-    std::vector<Block> blocks_;
-    std::priority_queue<uint64_t, std::vector<uint64_t>,
-                        std::greater<>>
-        inflight_;
-};
-
 cache::CacheGeometry
 benchGeometry()
 {
@@ -348,86 +105,28 @@ benchGeometry()
     return geom;
 }
 
-/** Replay outcome of one (policy, mode) measurement. */
-struct Replay
+/** Feed the whole trace through @p c, one access per 4 cycles. */
+void
+replay(cache::Cache &c, const std::vector<Access> &trace)
 {
-    /** Best observed throughput, simulated accesses/second. */
-    double mps = 0.0;
-    /** Sum of per-access completion times (cross-mode oracle). */
-    uint64_t time_checksum = 0;
-    /** Final counters (cross-mode oracle). */
-    std::vector<std::pair<std::string, uint64_t>> stats;
-};
-
-/**
- * Replay the trace @p reps times on fresh caches built by
- * @p make_cache (returning a cache with access()/statSet());
- * keep the fastest wall-clock rep and the (rep-invariant)
- * counters + completion-time checksum of the last. The replay
- * loop calls access() directly — no std::function indirection —
- * so the measured cost is the cache's own hot path.
- */
-template <class CacheT, class MakeFn>
-Replay
-measure(const std::vector<Access> &trace, unsigned reps,
-        MakeFn make_cache)
-{
-    Replay out;
-    for (unsigned r = 0; r < reps; ++r) {
-        std::unique_ptr<CacheT> c = make_cache();
-        uint64_t checksum = 0;
-        uint64_t now = 0;
-        const auto t0 = std::chrono::steady_clock::now();
-        for (const Access &a : trace) {
-            cache::MemRequest req;
-            req.address = a.address;
-            req.pc = a.pc;
-            req.type = a.type;
-            checksum += c->access(req, now);
-            now += 4;
-        }
-        const auto t1 = std::chrono::steady_clock::now();
-        const double secs =
-            std::chrono::duration<double>(t1 - t0).count();
-        if (secs > 0.0) {
-            out.mps = std::max(
-                out.mps, static_cast<double>(trace.size()) / secs);
-        }
-        out.time_checksum = checksum;
-        out.stats = c->statSet().items();
+    uint64_t now = 0;
+    for (const Access &a : trace) {
+        cache::MemRequest req;
+        req.address = a.address;
+        req.pc = a.pc;
+        req.type = a.type;
+        c.access(req, now);
+        now += 4;
     }
-    return out;
 }
 
-/**
- * Compare two counter dumps as sparse maps: every name present on
- * either side must have the same value on both (absent == 0, so
- * eagerly- and lazily-registered stat sets compare equal).
- * @return "" when equal, else the first difference
- */
-std::string
-countsDiff(const std::vector<std::pair<std::string, uint64_t>> &a,
-           const std::vector<std::pair<std::string, uint64_t>> &b)
+/** A fresh benchmark LLC running @p policy. */
+std::unique_ptr<cache::Cache>
+makeCache(const std::string &policy, uint64_t seed,
+          cache::MemoryLevel *mem)
 {
-    auto lookup =
-        [](const std::vector<std::pair<std::string, uint64_t>> &v,
-           const std::string &name) -> uint64_t {
-        for (const auto &[n, val] : v)
-            if (n == name)
-                return val;
-        return 0;
-    };
-    for (const auto &[name, val] : a) {
-        if (lookup(b, name) != val)
-            return util::format("{}: {} vs {}", name, val,
-                                lookup(b, name));
-    }
-    for (const auto &[name, val] : b) {
-        if (lookup(a, name) != val)
-            return util::format("{}: {} vs {}", name,
-                                lookup(a, name), val);
-    }
-    return "";
+    return std::make_unique<cache::Cache>(
+        benchGeometry(), core::makePolicy(policy, seed), mem);
 }
 
 /** JSON string escaping (policy names reach the export). */
@@ -444,8 +143,8 @@ jsonEscape(const std::string &s)
 }
 
 /**
- * Hot-path phase times from one profiled replay of the typed
- * build (obs scoped profiler, flattened across the call tree).
+ * Hot-path phase times from one profiled replay (obs scoped
+ * profiler, flattened across the call tree).
  * lookup/victim/policy are span totals; fill is the fill span's
  * self time (victim handling is nested inside it); other is the
  * access span's self time; total is the access span's total.
@@ -479,67 +178,72 @@ accumulatePhases(const obs::ProfileNode &node, PhaseBreakdown &pb)
         accumulatePhases(c, pb);
 }
 
-/**
- * One extra (untimed) replay of the typed build with the scoped
- * profiler armed, yielding the per-phase breakdown. Kept separate
- * from the throughput reps so profiling overhead never pollutes
- * the Macc/s numbers.
- */
-template <class MakeFn>
-PhaseBreakdown
-profilePhases(const std::vector<Access> &trace, MakeFn make_cache)
-{
-    obs::Profiler &prof = obs::Profiler::instance();
-    prof.reset();
-    prof.setEnabled(true);
-    {
-        auto c = make_cache();
-        c->setProfiled(true);
-        uint64_t now = 0;
-        for (const Access &a : trace) {
-            cache::MemRequest req;
-            req.address = a.address;
-            req.pc = a.pc;
-            req.type = a.type;
-            c->access(req, now);
-            now += 4;
-        }
-    }
-    prof.setEnabled(false);
-    const obs::ProfileData data = prof.collect();
-    prof.reset();
-    PhaseBreakdown pb;
-    for (const auto &r : data.roots)
-        accumulatePhases(r, pb);
-    return pb;
-}
-
 /** One policy's benchmark row. */
 struct PolicyResult
 {
     std::string policy;
-    std::string dispatch;
-    double typed_mps = 0.0;
-    double virtual_mps = 0.0;
-    double baseline_mps = 0.0;
+    /** Best observed throughput, simulated accesses/second. */
+    double mps = 0.0;
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t evictions = 0;
     uint64_t bypasses = 0;
-    bool counts_match = false;
     PhaseBreakdown phases;
-
-    double
-    speedupVsVirtual() const
-    {
-        return virtual_mps > 0.0 ? typed_mps / virtual_mps : 0.0;
-    }
-    double
-    speedupVsBaseline() const
-    {
-        return baseline_mps > 0.0 ? typed_mps / baseline_mps : 0.0;
-    }
 };
+
+/**
+ * Benchmark one policy: @p reps timed replays on fresh caches
+ * (the fastest is kept; counters are rep-invariant), then one
+ * extra untimed replay with the scoped profiler armed for the
+ * per-phase breakdown, kept apart so profiling overhead never
+ * pollutes the Macc/s number.
+ */
+PolicyResult
+runPolicy(const std::string &policy, uint64_t seed,
+          const std::vector<Access> &trace, unsigned reps)
+{
+    PolicyResult row;
+    row.policy = policy;
+    FlatMemory mem;
+    for (unsigned r = 0; r < reps; ++r) {
+        auto c = makeCache(policy, seed, &mem);
+        const auto t0 = std::chrono::steady_clock::now();
+        replay(*c, trace);
+        const auto t1 = std::chrono::steady_clock::now();
+        const double secs =
+            std::chrono::duration<double>(t1 - t0).count();
+        if (secs > 0.0) {
+            row.mps = std::max(
+                row.mps, static_cast<double>(trace.size()) / secs);
+        }
+        if (r + 1 < reps)
+            continue;
+        const stats::StatSet &st = c->statSet();
+        for (const auto &[key, val] : st.items()) {
+            if (key.ends_with("_hit"))
+                row.hits += val;
+            else if (key.ends_with("_miss"))
+                row.misses += val;
+        }
+        row.evictions = st.value("evictions");
+        row.bypasses = st.value("bypasses");
+    }
+
+    obs::Profiler &prof = obs::Profiler::instance();
+    prof.reset();
+    prof.setEnabled(true);
+    {
+        auto c = makeCache(policy, seed, &mem);
+        c->setProfiled(true);
+        replay(*c, trace);
+    }
+    prof.setEnabled(false);
+    const obs::ProfileData data = prof.collect();
+    prof.reset();
+    for (const auto &root : data.roots)
+        accumulatePhases(root, row.phases);
+    return row;
+}
 
 } // namespace
 
@@ -548,16 +252,15 @@ main(int argc, char **argv)
 {
     util::ArgParser parser(
         "LLC hot-path throughput benchmark: simulated accesses/sec "
-        "per policy under typed (devirtualized), forced-virtual, "
-        "and frozen pre-optimization baseline builds, with a "
-        "built-in cross-build equivalence oracle");
+        "per policy through the production cache, with a profiled "
+        "per-phase breakdown");
     parser.addOption("policies", "",
                      "Comma-separated policies (default: "
                      "LRU,SRRIP,BRRIP,DRRIP,SHiP,SHiP++,RLR)");
     parser.addOption("accesses", "300000",
                      "Trace length replayed per measurement");
     parser.addOption("reps", "3",
-                     "Timed repetitions per build (best is kept)");
+                     "Timed repetitions per policy (best is kept)");
     parser.addOption("seed", "42", "Trace random seed");
     parser.addOption("pool", "24576",
                      "Distinct lines in the trace's address pool "
@@ -567,12 +270,6 @@ main(int argc, char **argv)
                      "Write the per-policy results as JSON "
                      "(BENCH_sim_throughput.json schema, "
                      "docs/PERFORMANCE.md)");
-    parser.addOption("min-speedup", "0.9",
-                     "Minimum typed/virtual throughput ratio "
-                     "accepted by --check-speedup");
-    parser.addFlag("check-speedup",
-                   "Fail (exit 1) when any policy's typed build is "
-                   "slower than min-speedup x its virtual build");
     parser.addFlag("stable-json",
                    "Zero wall-clock throughput fields in the JSON "
                    "export so same-seed runs are byte-identical");
@@ -594,118 +291,25 @@ main(int argc, char **argv)
         static_cast<uint32_t>(std::max<uint64_t>(
             1, parser.getUint("pool")));
     const std::string json = parser.get("json");
-    const double min_speedup = parser.getDouble("min-speedup");
-    const bool check_speedup = parser.getFlag("check-speedup");
     const bool stable = parser.getFlag("stable-json");
+    const bool csv = parser.getFlag("csv");
 
     const auto trace = makeTrace(accesses, pool, seed);
-
     std::vector<PolicyResult> results;
-    bool oracle_failed = false;
-    for (const auto &name : policies) {
-        PolicyResult row;
-        row.policy = name;
+    for (const auto &name : policies)
+        results.push_back(runPolicy(name, seed, trace, reps));
 
-        FlatMemory mem;
-        std::string dispatch;
-        auto make_prod = [&](bool force_generic) {
-            auto c = std::make_unique<cache::Cache>(
-                benchGeometry(), core::makePolicy(name, seed),
-                &mem);
-            c->setForceGenericDispatch(force_generic);
-            dispatch = c->dispatchKind();
-            return c;
-        };
-        const Replay typed = measure<cache::Cache>(
-            trace, reps, [&] { return make_prod(false); });
-        row.dispatch = dispatch; // typed build's kind
-        const Replay virt = measure<cache::Cache>(
-            trace, reps, [&] { return make_prod(true); });
-        const Replay base =
-            measure<BaselineCache>(trace, reps, [&] {
-                return std::make_unique<BaselineCache>(
-                    benchGeometry(),
-                    core::makePolicy(name, seed), &mem);
-            });
-
-        row.typed_mps = typed.mps;
-        row.virtual_mps = virt.mps;
-        row.baseline_mps = base.mps;
-        row.phases = profilePhases(
-            trace, [&] { return make_prod(false); });
-
-        // Cross-build equivalence oracle: the three hot paths must
-        // be behaviourally indistinguishable.
-        std::string err = countsDiff(typed.stats, virt.stats);
-        if (err.empty())
-            err = countsDiff(typed.stats, base.stats);
-        if (err.empty() &&
-            typed.time_checksum != virt.time_checksum) {
-            err = util::format(
-                "completion-time checksum typed={} virtual={}",
-                typed.time_checksum, virt.time_checksum);
-        }
-        if (err.empty() &&
-            typed.time_checksum != base.time_checksum) {
-            err = util::format(
-                "completion-time checksum typed={} baseline={}",
-                typed.time_checksum, base.time_checksum);
-        }
-        row.counts_match = err.empty();
-        if (!row.counts_match) {
-            oracle_failed = true;
-            std::printf("EQUIVALENCE FAILURE [%s]: %s\n",
-                        name.c_str(), err.c_str());
-        }
-
-        auto find = [&](const char *n) -> uint64_t {
-            uint64_t total = 0;
-            for (const auto &[key, val] : typed.stats) {
-                if (key == n ||
-                    (std::string(n) == "hit" &&
-                     key.size() > 4 &&
-                     key.compare(key.size() - 4, 4, "_hit") == 0) ||
-                    (std::string(n) == "miss" &&
-                     key.size() > 5 &&
-                     key.compare(key.size() - 5, 5, "_miss") == 0))
-                    total += val;
-            }
-            return total;
-        };
-        row.hits = find("hit");
-        row.misses = find("miss");
-        row.evictions = find("evictions");
-        row.bypasses = find("bypasses");
-        results.push_back(std::move(row));
-    }
-
-    util::Table table({"Policy", "Dispatch", "Typed Macc/s",
-                       "Virtual Macc/s", "Baseline Macc/s",
-                       "vs virtual", "vs baseline", "Match"});
-    std::vector<double> vs_virtual, vs_baseline;
+    util::Table table({"Policy", "Macc/s", "Hits", "Misses",
+                       "Evictions", "Bypasses"});
     for (const auto &r : results) {
-        table.addRow({r.policy, r.dispatch,
-                      util::Table::fmt(r.typed_mps / 1e6, 2),
-                      util::Table::fmt(r.virtual_mps / 1e6, 2),
-                      util::Table::fmt(r.baseline_mps / 1e6, 2),
-                      util::Table::fmt(r.speedupVsVirtual(), 2),
-                      util::Table::fmt(r.speedupVsBaseline(), 2),
-                      r.counts_match ? "yes" : "NO"});
-        if (r.speedupVsVirtual() > 0.0)
-            vs_virtual.push_back(r.speedupVsVirtual());
-        if (r.speedupVsBaseline() > 0.0)
-            vs_baseline.push_back(r.speedupVsBaseline());
+        table.addRow({r.policy, util::Table::fmt(r.mps / 1e6, 2),
+                      std::to_string(r.hits),
+                      std::to_string(r.misses),
+                      std::to_string(r.evictions),
+                      std::to_string(r.bypasses)});
     }
     std::puts("=== LLC hot-path throughput ===");
-    std::fputs((parser.getFlag("csv") ? table.csv()
-                                      : table.render())
-                   .c_str(),
-               stdout);
-    const double geo_virtual = stats::geomean(vs_virtual);
-    const double geo_baseline = stats::geomean(vs_baseline);
-    std::printf("geomean speedup: %.2fx vs virtual, %.2fx vs "
-                "baseline\n",
-                geo_virtual, geo_baseline);
+    std::fputs((csv ? table.csv() : table.render()).c_str(), stdout);
 
     util::Table phase_table({"Policy", "lookup ms", "victim ms",
                              "policy ms", "fill ms", "other ms",
@@ -722,10 +326,8 @@ main(int argc, char **argv)
                             ms(r.phases.other_ns),
                             ms(r.phases.total_ns)});
     }
-    std::puts("\n=== Hot-path phase times (profiled typed "
-              "replay) ===");
-    std::fputs((parser.getFlag("csv") ? phase_table.csv()
-                                      : phase_table.render())
+    std::puts("\n=== Hot-path phase times (profiled replay) ===");
+    std::fputs((csv ? phase_table.csv() : phase_table.render())
                    .c_str(),
                stdout);
 
@@ -733,7 +335,6 @@ main(int argc, char **argv)
         FILE *f = std::fopen(json.c_str(), "w");
         if (!f)
             util::fatal("cannot write '{}'", json);
-        auto num = [&](double v) { return stable ? 0.0 : v; };
         auto nsv = [&](uint64_t v) {
             return static_cast<unsigned long long>(stable ? 0 : v);
         };
@@ -750,81 +351,26 @@ main(int argc, char **argv)
             const auto &r = results[i];
             std::fprintf(
                 f,
-                "    {\"policy\": \"%s\", \"dispatch\": \"%s\", "
-                "\"typed_mps\": %.0f, \"virtual_mps\": %.0f, "
-                "\"baseline_mps\": %.0f, "
-                "\"speedup_vs_virtual\": %.3f, "
-                "\"speedup_vs_baseline\": %.3f, "
+                "    {\"policy\": \"%s\", \"mps\": %.0f, "
                 "\"hits\": %llu, \"misses\": %llu, "
                 "\"evictions\": %llu, \"bypasses\": %llu, "
-                "\"counts_match\": %s, "
                 "\"phase_self_ns\": {\"lookup\": %llu, "
                 "\"victim\": %llu, \"policy\": %llu, "
                 "\"fill\": %llu, \"other\": %llu, "
                 "\"total\": %llu}}%s\n",
-                jsonEscape(r.policy).c_str(),
-                jsonEscape(r.dispatch).c_str(), num(r.typed_mps),
-                num(r.virtual_mps), num(r.baseline_mps),
-                num(r.speedupVsVirtual()),
-                num(r.speedupVsBaseline()),
+                jsonEscape(r.policy).c_str(), stable ? 0.0 : r.mps,
                 static_cast<unsigned long long>(r.hits),
                 static_cast<unsigned long long>(r.misses),
                 static_cast<unsigned long long>(r.evictions),
                 static_cast<unsigned long long>(r.bypasses),
-                r.counts_match ? "true" : "false",
                 nsv(r.phases.lookup_ns), nsv(r.phases.victim_ns),
                 nsv(r.phases.policy_ns), nsv(r.phases.fill_ns),
                 nsv(r.phases.other_ns), nsv(r.phases.total_ns),
                 i + 1 < results.size() ? "," : "");
         }
-        std::fprintf(f,
-                     "  ],\n"
-                     "  \"geomean_speedup_vs_virtual\": %.3f,\n"
-                     "  \"geomean_speedup_vs_baseline\": %.3f\n}\n",
-                     num(geo_virtual), num(geo_baseline));
+        std::fputs("  ]\n}\n", f);
         std::fclose(f);
         std::printf("wrote %s\n", json.c_str());
-    }
-
-    if (oracle_failed)
-        return 1;
-    if (check_speedup) {
-        // A fresh typed-vs-virtual measurement for one policy.
-        // Scheduler noise can make either build look slow, but a
-        // true regression deflates every measurement, so the
-        // guard re-measures before condemning and keeps the best
-        // ratio it has seen.
-        auto remeasure = [&](const std::string &name) {
-            FlatMemory mem;
-            auto make_prod = [&](bool force_generic) {
-                auto c = std::make_unique<cache::Cache>(
-                    benchGeometry(),
-                    core::makePolicy(name, seed), &mem);
-                c->setForceGenericDispatch(force_generic);
-                return c;
-            };
-            const Replay typed = measure<cache::Cache>(
-                trace, reps, [&] { return make_prod(false); });
-            const Replay virt = measure<cache::Cache>(
-                trace, reps, [&] { return make_prod(true); });
-            return virt.mps > 0.0 ? typed.mps / virt.mps : 0.0;
-        };
-        bool slow = false;
-        for (const auto &r : results) {
-            double ratio = r.speedupVsVirtual();
-            for (int retry = 0;
-                 ratio < min_speedup && retry < 2; ++retry)
-                ratio = std::max(ratio, remeasure(r.policy));
-            if (ratio < min_speedup) {
-                slow = true;
-                std::printf(
-                    "SPEEDUP REGRESSION [%s]: typed %.2fx virtual "
-                    "(< %.2f)\n",
-                    r.policy.c_str(), ratio, min_speedup);
-            }
-        }
-        if (slow)
-            return 1;
     }
     return 0;
 }

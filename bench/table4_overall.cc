@@ -66,17 +66,17 @@ main(int argc, char **argv)
         return p;
     };
 
-    std::vector<std::string> all = {"LRU"};
-    all.insert(all.end(), policies.begin(), policies.end());
+    const auto all = bench::withLruBaseline(policies);
 
     const auto spec = bench::specNames();
     const auto cloud = bench::cloudNames();
     const auto spec_cells = bench::runSweep(opt, spec, all);
     const auto cloud_cells = bench::runSweep(opt, cloud, all);
 
-    std::vector<std::string> mc_all = {"LRU"};
+    std::vector<std::string> mc_policies;
     for (const auto &p : policies)
-        mc_all.push_back(mc_policy(p));
+        mc_policies.push_back(mc_policy(p));
+    const auto mc_all = bench::withLruBaseline(mc_policies);
     const auto spec_mixes =
         bench::makeMixes(spec, n_mixes, opt.seed);
     // CloudSuite 4-core: rotate through the five workloads.

@@ -17,9 +17,9 @@
 #   8. the robustness layer (docs/ROBUSTNESS.md) is out of sync:
 #      a sweep robustness flag, a FaultPlan kind, a sweep.*
 #      counter, or the crash-resume harness is undocumented.
-#   9. the perf trajectory (docs/PERFORMANCE.md) is out of sync:
-#      a bench/sim_throughput flag, the BENCH_sim_throughput.json
-#      export, the CI hook, or the ctest guard is undocumented.
+#   9. docs/PERFORMANCE.md is out of sync: a bench/sim_throughput
+#      flag, the BENCH_sim_throughput.json export, the CI hook, or
+#      the phase breakdown is undocumented.
 #
 # Pure grep/sed over the sources: runs without a compiler, so it
 # can gate doc-only changes too. Run from the repository root.
@@ -164,10 +164,10 @@ for s in scripts/crash_resume_e2e.sh scripts/dist_sweep_e2e.sh; do
         err "'$s' is not referenced in docs/ROBUSTNESS.md"
 done
 
-# --- 9. the perf trajectory is documented ---------------------------
+# --- 9. the LLC throughput benchmark is documented -----------------
 # Every bench/sim_throughput CLI flag must appear in
 # docs/PERFORMANCE.md, along with the JSON export's name, the CI
-# hook that writes it, and the ctest speedup guard.
+# hook that writes it, and the phase breakdown field.
 st_flags=$(grep -o 'add\(Option\|Flag\)("[a-z-]*"' \
                bench/sim_throughput.cc | sed 's/.*("//; s/"//')
 [ -n "$st_flags" ] ||
@@ -178,7 +178,6 @@ for f in $st_flags; do
             "docs/PERFORMANCE.md"
 done
 for needle in BENCH_sim_throughput.json scripts/ci.sh \
-              sim_throughput_guard setForceGenericDispatch \
               phase_self_ns; do
     grep -q "$needle" docs/PERFORMANCE.md ||
         err "'$needle' is not documented in docs/PERFORMANCE.md"

@@ -2,18 +2,20 @@
 # Full CI pipeline: the tier-1 build + test pass in Release, then
 # the same test suite rebuilt with AddressSanitizer + UBSan
 # (-DRLR_SANITIZE=address,undefined, recovery disabled so any
-# report is fatal). Each stage additionally runs the crash-resume
-# harness (scripts/crash_resume_e2e.sh) and the distributed-sweep
-# harness (scripts/dist_sweep_e2e.sh) standalone against its own
+# report is fatal), then the concurrency tests rebuilt with
+# ThreadSanitizer (-DRLR_SANITIZE=thread, build-tsan). The release
+# and ASan stages additionally run the crash-resume harness
+# (scripts/crash_resume_e2e.sh) and the distributed-sweep harness
+# (scripts/dist_sweep_e2e.sh) standalone against their own
 # binaries, so the kill-and-resume and lease-merge guarantees are
 # proven both in Release and under the sanitizers. All stages
 # must pass.
 #
 # The release stage additionally runs the LLC hot-path throughput
 # benchmark (bench/sim_throughput) and exports its per-policy
-# numbers (including the profiled per-phase breakdown) to
-# BENCH_sim_throughput.json — the tracked perf trajectory
-# (docs/PERFORMANCE.md) — and exports a self-profile of the
+# accesses/sec and profiled per-phase breakdown to
+# BENCH_sim_throughput.json (docs/PERFORMANCE.md; the whole-System
+# trajectory is bench/e2e), and exports a self-profile of the
 # tier-1 sweep path to PROF_tier1.json (docs/OBSERVABILITY.md).
 # Set RLR_STABLE_BENCH=1 to zero the wall-clock fields so
 # same-seed runs are byte-identical.
@@ -88,6 +90,27 @@ run_profile_artifact() {
     "$dir/tools/inspect" --profile PROF_tier1.json >/dev/null
 }
 
+# The tests that run threads against shared state: the sweep
+# pool, cell leases, heartbeats, the profiler, cancellation,
+# journal resume, and the journal itself.
+tsan_tests="test_thread_pool test_lease test_heartbeat test_profiler"
+tsan_tests="$tsan_tests test_sweep_runner test_cancel_token"
+tsan_tests="$tsan_tests test_sweep_resume test_journal"
+
+run_tsan_stage() {
+    local dir="build-tsan"
+    echo "=== ci: configure tsan ($dir) ==="
+    cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+        -DRLR_SANITIZE=thread
+    echo "=== ci: build tsan ==="
+    # shellcheck disable=SC2086  # one target per word
+    cmake --build "$dir" -j "$jobs" --target $tsan_tests
+    echo "=== ci: test tsan ==="
+    TSAN_OPTIONS="halt_on_error=1" \
+        ctest --test-dir "$dir" --output-on-failure -j "$jobs" \
+        -R "^($(echo $tsan_tests | tr ' ' '|'))\$"
+}
+
 run_stage "release" build -DCMAKE_BUILD_TYPE=Release
 run_crash_resume "release" build
 run_dist_sweep "release" build
@@ -108,5 +131,7 @@ run_crash_resume "asan+ubsan" build-san
 ASAN_OPTIONS="detect_leaks=0" \
 UBSAN_OPTIONS="print_stacktrace=1" \
 run_dist_sweep "asan+ubsan" build-san
+
+run_tsan_stage
 
 echo "=== ci: all stages passed ==="

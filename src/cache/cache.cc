@@ -4,16 +4,10 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
-#include <typeinfo>
 
-#include "core/rlr.hh"
 #include "obs/epoch.hh"
 #include "obs/event_log.hh"
 #include "obs/profiler.hh"
-#include "policies/lru.hh"
-#include "policies/rrip.hh"
-#include "policies/ship.hh"
 #include "util/logging.hh"
 
 namespace rlr::cache
@@ -81,7 +75,6 @@ Cache::Cache(CacheGeometry geom,
     pf_fills_skipped_ = &stats_.counter("pf_fills_skipped");
     prefetches_issued_ = &stats_.counter("prefetches_issued");
     policy_->bind(geom_);
-    updateDispatch();
 }
 
 void
@@ -98,7 +91,6 @@ Cache::setEventLog(obs::EventLog *log)
     events_ = log;
     if (events_)
         events_->bind(geom_.numSets(), geom_.ways);
-    updateDispatch();
 }
 
 void
@@ -110,147 +102,6 @@ Cache::setEpochSampler(obs::EpochSampler *sampler)
         epoch_->setOccupancyProvider(
             [this] { return validLines(); });
     }
-    updateDispatch();
-}
-
-void
-Cache::setForceGenericDispatch(bool v)
-{
-    force_generic_ = v;
-    updateDispatch();
-}
-
-namespace
-{
-
-/**
- * Exact-type detection: derived classes (SHiP++, KPC-R, mutant
- * wrappers, external policies) must NOT match their base's
- * devirtualized instantiation — a qualified call would silently
- * skip their overrides — so this compares typeid, not
- * dynamic_cast.
- */
-template <class P>
-bool
-isExactly(const ReplacementPolicy &p)
-{
-    return typeid(p) == typeid(P);
-}
-
-} // namespace
-
-void
-Cache::updateDispatch()
-{
-    kind_ = PolicyKind::Generic;
-    if (!force_generic_) {
-        const ReplacementPolicy &p = *policy_;
-        if (isExactly<policies::LruPolicy>(p))
-            kind_ = PolicyKind::Lru;
-        else if (isExactly<policies::SrripPolicy>(p))
-            kind_ = PolicyKind::Srrip;
-        else if (isExactly<policies::BrripPolicy>(p))
-            kind_ = PolicyKind::Brrip;
-        else if (isExactly<policies::DrripPolicy>(p))
-            kind_ = PolicyKind::Drrip;
-        else if (isExactly<policies::ShipPolicy>(p))
-            kind_ = PolicyKind::Ship;
-        else if (isExactly<core::RlrPolicy>(p))
-            kind_ = PolicyKind::Rlr;
-    }
-    const bool obs = events_ != nullptr || epoch_ != nullptr;
-    // With nothing attached the body compiles hook-free (if
-    // constexpr strips every observability call site), so
-    // disabled tracing costs nothing beyond the one indirect call
-    // every access already pays for policy dispatch.
-    auto pick = [&](auto tag) -> AccessFn {
-        using P = typename decltype(tag)::type;
-        return obs ? &Cache::accessImpl<true, P>
-                   : &Cache::accessImpl<false, P>;
-    };
-    switch (kind_) {
-      case PolicyKind::Lru:
-        access_fn_ = pick(std::type_identity<policies::LruPolicy>{});
-        break;
-      case PolicyKind::Srrip:
-        access_fn_ =
-            pick(std::type_identity<policies::SrripPolicy>{});
-        break;
-      case PolicyKind::Brrip:
-        access_fn_ =
-            pick(std::type_identity<policies::BrripPolicy>{});
-        break;
-      case PolicyKind::Drrip:
-        access_fn_ =
-            pick(std::type_identity<policies::DrripPolicy>{});
-        break;
-      case PolicyKind::Ship:
-        access_fn_ =
-            pick(std::type_identity<policies::ShipPolicy>{});
-        break;
-      case PolicyKind::Rlr:
-        access_fn_ = pick(std::type_identity<core::RlrPolicy>{});
-        break;
-      case PolicyKind::Generic:
-        access_fn_ = pick(std::type_identity<ReplacementPolicy>{});
-        break;
-    }
-}
-
-const char *
-Cache::dispatchKind() const
-{
-    switch (kind_) {
-      case PolicyKind::Lru:
-        return "LRU";
-      case PolicyKind::Srrip:
-        return "SRRIP";
-      case PolicyKind::Brrip:
-        return "BRRIP";
-      case PolicyKind::Drrip:
-        return "DRRIP";
-      case PolicyKind::Ship:
-        return "SHiP";
-      case PolicyKind::Rlr:
-        return "RLR";
-      case PolicyKind::Generic:
-        break;
-    }
-    return "generic";
-}
-
-template <class P>
-void
-Cache::policyOnAccess(const AccessContext &ctx)
-{
-    if constexpr (std::is_same_v<P, ReplacementPolicy>)
-        policy_->onAccess(ctx);
-    else
-        static_cast<P *>(policy_.get())->P::onAccess(ctx);
-}
-
-template <class P>
-uint32_t
-Cache::policyFindVictim(const AccessContext &ctx,
-                        std::span<const BlockView> blocks)
-{
-    if constexpr (std::is_same_v<P, ReplacementPolicy>)
-        return policy_->findVictim(ctx, blocks);
-    else
-        return static_cast<P *>(policy_.get())
-            ->P::findVictim(ctx, blocks);
-}
-
-template <class P>
-void
-Cache::policyOnEviction(uint32_t set, uint32_t way,
-                        const BlockView &block)
-{
-    if constexpr (std::is_same_v<P, ReplacementPolicy>)
-        policy_->onEviction(set, way, block);
-    else
-        static_cast<P *>(policy_.get())
-            ->P::onEviction(set, way, block);
 }
 
 uint32_t
@@ -315,13 +166,6 @@ Cache::runPrefetcher(const MemRequest &req, bool hit, uint64_t now)
 uint64_t
 Cache::access(const MemRequest &req, uint64_t now)
 {
-    return (this->*access_fn_)(req, now);
-}
-
-template <bool Obs, class P>
-uint64_t
-Cache::accessImpl(const MemRequest &req, uint64_t now)
-{
     // Sampled 1-in-64: the access path runs tens of millions of
     // times per cell, so even two clock reads per span would show
     // up; the profile scales the estimates back up by the shift.
@@ -361,27 +205,22 @@ Cache::accessImpl(const MemRequest &req, uint64_t now)
             // the outstanding MSHR and completes with it.
             countAccess(req.type, false);
             ++*mshr_merges_;
-            if constexpr (Obs) {
-                if (epoch_)
-                    epoch_->onAccess(set, req.type, false);
-                if (events_)
-                    events_->onMiss(set);
-            }
+            if (epoch_)
+                epoch_->onAccess(set, req.type, false);
+            if (events_)
+                events_->onMiss(set);
             if (demand)
                 runPrefetcher(req, false, now);
             return std::max(now, ready_at_[i]);
         }
         countAccess(req.type, true);
-        if constexpr (Obs) {
-            if (epoch_)
-                epoch_->onAccess(set, req.type, true);
-            if (events_) {
-                // Pre-update priority: the standing the line had
-                // when it was hit (e.g. its RRPV before promotion).
-                events_->onHit(set, hit_way, toLlcAccess(req),
-                               policy_->victimPriority(set,
-                                                       hit_way));
-            }
+        if (epoch_)
+            epoch_->onAccess(set, req.type, true);
+        if (events_) {
+            // Pre-update priority: the standing the line had when
+            // it was hit (e.g. its RRPV before promotion).
+            events_->onHit(set, hit_way, toLlcAccess(req),
+                           policy_->victimPriority(set, hit_way));
         }
         AccessContext ctx;
         ctx.cpu = req.cpu;
@@ -393,7 +232,7 @@ Cache::accessImpl(const MemRequest &req, uint64_t now)
         ctx.hit = true;
         {
             RLR_PROF_SCOPE_IF(profiled_, "sim.llc.policy");
-            policyOnAccess<P>(ctx);
+            policy_->onAccess(ctx);
         }
         if (demand)
             runPrefetcher(req, true, now);
@@ -404,17 +243,15 @@ Cache::accessImpl(const MemRequest &req, uint64_t now)
 
     // Miss.
     countAccess(req.type, false);
-    if constexpr (Obs) {
-        if (epoch_)
-            epoch_->onAccess(set, req.type, false);
-        if (events_)
-            events_->onMiss(set);
-    }
+    if (epoch_)
+        epoch_->onAccess(set, req.type, false);
+    if (events_)
+        events_->onMiss(set);
 
     if (req.type == trace::AccessType::Writeback) {
         // Write-allocate on writeback: the entire line is being
         // written, so no fetch from the next level is required.
-        fillImpl<Obs, P>(req, now, /*dirty=*/true);
+        fill(req, now, /*dirty=*/true);
         if (verify_)
             runVerify(set);
         return now;
@@ -437,19 +274,16 @@ Cache::accessImpl(const MemRequest &req, uint64_t now)
         req.type == trace::AccessType::Prefetch &&
         req.pf_confidence < pf_fill_threshold_;
     if (!skip_install) {
-        fillImpl<Obs, P>(req, ready,
-                         /*dirty=*/writes_on_rfo_ &&
-                             req.type == trace::AccessType::Rfo);
+        fill(req, ready,
+             /*dirty=*/writes_on_rfo_ &&
+                 req.type == trace::AccessType::Rfo);
     } else {
         ++*pf_fills_skipped_;
-        if constexpr (Obs) {
-            if (epoch_)
-                epoch_->onBypass();
-            if (events_) {
-                events_->onBypass(
-                    set, toLlcAccess(req),
-                    BypassReason::LowConfidencePrefetch);
-            }
+        if (epoch_)
+            epoch_->onBypass();
+        if (events_) {
+            events_->onBypass(set, toLlcAccess(req),
+                              BypassReason::LowConfidencePrefetch);
         }
     }
 
@@ -460,9 +294,8 @@ Cache::accessImpl(const MemRequest &req, uint64_t now)
     return ready;
 }
 
-template <bool Obs, class P>
 bool
-Cache::fillImpl(const MemRequest &req, uint64_t ready, bool dirty)
+Cache::fill(const MemRequest &req, uint64_t ready, bool dirty)
 {
     RLR_PROF_SCOPE_IF(profiled_, "sim.llc.fill");
     const uint64_t line = CacheGeometry::lineAddress(req.address);
@@ -494,18 +327,16 @@ Cache::fillImpl(const MemRequest &req, uint64_t ready, bool dirty)
         ctx.pc = req.pc;
         ctx.type = req.type;
         ctx.hit = false;
-        way = policyFindVictim<P>(ctx, views);
+        way = policy_->findVictim(ctx, views);
 
         if (way == ReplacementPolicy::kBypass) {
             if (req.type != trace::AccessType::Writeback) {
                 ++*bypasses_;
-                if constexpr (Obs) {
-                    if (epoch_)
-                        epoch_->onBypass();
-                    if (events_) {
-                        events_->onBypass(set, toLlcAccess(req),
-                                          policy_->bypassReason());
-                    }
+                if (epoch_)
+                    epoch_->onBypass();
+                if (events_) {
+                    events_->onBypass(set, toLlcAccess(req),
+                                      policy_->bypassReason());
                 }
                 return false;
             }
@@ -514,7 +345,7 @@ Cache::fillImpl(const MemRequest &req, uint64_t ready, bool dirty)
             // re-query for a real victim.
             ++*wb_bypass_denied_;
             ctx.allow_bypass = false;
-            way = policyFindVictim<P>(ctx, views);
+            way = policy_->findVictim(ctx, views);
             if (way == ReplacementPolicy::kBypass) {
                 // Non-conforming policy (ignores allow_bypass):
                 // last-resort way 0 rather than dropping the line.
@@ -527,7 +358,7 @@ Cache::fillImpl(const MemRequest &req, uint64_t ready, bool dirty)
         if (valid_[vi]) {
             const BlockView victim{valid_[vi] != 0, dirty_[vi] != 0,
                                    prefetch_[vi] != 0, addr_[vi]};
-            if constexpr (Obs) {
+            if (events_ || epoch_) {
                 // Before onEviction, while the policy's victim
                 // metadata is still live.
                 const uint64_t prio =
@@ -539,7 +370,7 @@ Cache::fillImpl(const MemRequest &req, uint64_t ready, bool dirty)
                 if (epoch_)
                     epoch_->onEviction(prio);
             }
-            policyOnEviction<P>(set, way, victim);
+            policy_->onEviction(set, way, victim);
             ++*evictions_;
             if (victim.dirty) {
                 MemRequest wb;
@@ -569,13 +400,11 @@ Cache::fillImpl(const MemRequest &req, uint64_t ready, bool dirty)
     ctx.pc = req.pc;
     ctx.type = req.type;
     ctx.hit = false;
-    policyOnAccess<P>(ctx);
-    if constexpr (Obs) {
-        if (events_) {
-            // Post-insertion priority (e.g. the inserted RRPV).
-            events_->onFill(set, way, toLlcAccess(req),
-                            policy_->victimPriority(set, way));
-        }
+    policy_->onAccess(ctx);
+    if (events_) {
+        // Post-insertion priority (e.g. the inserted RRPV).
+        events_->onFill(set, way, toLlcAccess(req),
+                        policy_->victimPriority(set, way));
     }
     return true;
 }

@@ -3,14 +3,14 @@
  * Set-associative, write-back, write-allocate, non-blocking cache
  * with pluggable replacement policy and prefetcher.
  *
- * The access path is compiled per replacement policy: for the
- * factory's common policies (LRU, the RRIP family, SHiP, RLR) the
- * cache selects a template instantiation at construction time
- * whose policy calls are devirtualized qualified calls, while
- * exotic or external policies run the same body through the
- * virtual fallback instantiation. Per-set metadata is stored as
- * struct-of-arrays lanes so tag lookups and victim scans
- * vectorize (docs/ARCHITECTURE.md, docs/PERFORMANCE.md).
+ * There is one access path for every replacement policy: policy
+ * calls are plain virtual calls and each observability hook sits
+ * behind a null check on its borrowed observer. Compiling the
+ * body per policy type or per observer state measures at parity
+ * with this single body on whole-System runs, so the single body
+ * is the design (docs/ARCHITECTURE.md). Per-set metadata is
+ * stored as struct-of-arrays lanes so tag lookups and victim
+ * scans vectorize (docs/PERFORMANCE.md).
  */
 
 #ifndef RLR_CACHE_CACHE_HH
@@ -76,8 +76,7 @@ class Cache : public MemoryLevel
      * Attach a decision-level event log (borrowed; null detaches).
      * The log is bound to this cache's geometry and driven at
      * every hit / miss / fill / eviction / bypass. When detached
-     * (the default) the access path compiles hook-free and pays
-     * only one predicted dispatch branch per access.
+     * (the default) each hook site costs one predicted null check.
      */
     void setEventLog(obs::EventLog *log);
     obs::EventLog *eventLog() { return events_; }
@@ -111,21 +110,6 @@ class Cache : public MemoryLevel
      */
     void setProfiled(bool v) { profiled_ = v; }
     bool profiled() const { return profiled_; }
-
-    /**
-     * Route every access through the virtual-dispatch fallback
-     * instantiation even when a compile-time specialization is
-     * available. Bench/test aid: the dispatch-equivalence oracle
-     * and bench/sim_throughput compare the two paths.
-     */
-    void setForceGenericDispatch(bool v);
-
-    /**
-     * Name of the access-path instantiation in use: the concrete
-     * policy class devirtualized into the hot path, or "generic"
-     * for the virtual fallback.
-     */
-    const char *dispatchKind() const;
 
     /**
      * Minimum prefetch confidence required to install a prefetch
@@ -186,23 +170,6 @@ class Cache : public MemoryLevel
     static constexpr uint32_t kNoWay =
         std::numeric_limits<uint32_t>::max();
 
-    /**
-     * Compile-time access-path selector. Every concrete kind maps
-     * to an accessImpl instantiation whose policy calls are
-     * devirtualized; Generic is the virtual fallback that serves
-     * any ReplacementPolicy subclass.
-     */
-    enum class PolicyKind : uint8_t
-    {
-        Generic,
-        Lru,
-        Srrip,
-        Brrip,
-        Drrip,
-        Ship,
-        Rlr,
-    };
-
     /** Flat SoA index of (set, way). */
     size_t
     idx(uint32_t set, uint32_t way) const
@@ -214,32 +181,10 @@ class Cache : public MemoryLevel
     uint32_t lookup(uint32_t set, uint64_t tag) const;
 
     /**
-     * Access body, compiled per (observability, policy type):
-     * Obs=false is the hook-free disabled path; Obs=true drives
-     * the attached EventLog / EpochSampler. P is the concrete
-     * replacement policy class (qualified, devirtualized calls)
-     * or ReplacementPolicy itself for the virtual fallback.
-     * access() is one indirect call through the precomputed
-     * member-function pointer.
-     */
-    template <bool Obs, class P>
-    uint64_t accessImpl(const MemRequest &req, uint64_t now);
-
-    /**
      * Install a line, evicting if necessary.
      * @return false when the fill was bypassed by the policy.
      */
-    template <bool Obs, class P>
-    bool fillImpl(const MemRequest &req, uint64_t ready, bool dirty);
-
-    /** Devirtualized (or fallback-virtual) policy call helpers. */
-    template <class P> void policyOnAccess(const AccessContext &ctx);
-    template <class P>
-    uint32_t policyFindVictim(const AccessContext &ctx,
-                              std::span<const BlockView> blocks);
-    template <class P>
-    void policyOnEviction(uint32_t set, uint32_t way,
-                          const BlockView &block);
+    bool fill(const MemRequest &req, uint64_t ready, bool dirty);
 
     /**
      * Enforce MSHR capacity: may advance @p now to the completion
@@ -251,9 +196,6 @@ class Cache : public MemoryLevel
 
     /** Record an in-flight miss completing at @p ready. */
     void trackMiss(uint64_t ready) { inflight_.push(ready); }
-
-    /** Detect the policy's kind and install the access pointer. */
-    void updateDispatch();
 
     /** Run the armed invariant checks on @p set (throws). */
     void runVerify(uint32_t set) const;
@@ -276,8 +218,8 @@ class Cache : public MemoryLevel
     MemoryLevel *next_;
     std::unique_ptr<Prefetcher> prefetcher_;
     AccessSink sink_;
-    /** Borrowed observability hooks; null = disabled (the access
-     *  path then runs the hook-free accessImpl<false, P>). */
+    /** Borrowed observability hooks; null = disabled (every hook
+     *  site is skipped by its null check). */
     obs::EventLog *events_ = nullptr;
     obs::EpochSampler *epoch_ = nullptr;
     bool writes_on_rfo_ = false;
@@ -312,13 +254,6 @@ class Cache : public MemoryLevel
         inflight_;
     /** Guard against recursive prefetch issue. */
     bool in_prefetch_ = false;
-
-    /** Selected access-path instantiation. */
-    using AccessFn = uint64_t (Cache::*)(const MemRequest &,
-                                         uint64_t);
-    AccessFn access_fn_ = nullptr;
-    PolicyKind kind_ = PolicyKind::Generic;
-    bool force_generic_ = false;
 
     stats::StatSet stats_;
     /**

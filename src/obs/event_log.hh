@@ -10,11 +10,10 @@
  *
  * Cost model: the log is attached to a cache as a borrowed
  * pointer; when detached the hot path pays only a null-pointer
- * check per decision point (see tests/test_obs_overhead.cc for
- * the <2% bound). When attached, recording can be thinned to
- * 1-in-N sets (EventLogConfig::sample_sets); metadata shadows are
- * still maintained for every set so sampled events carry exact
- * ages. A full ring overwrites the oldest events and counts them
+ * check per decision point (docs/OBSERVABILITY.md § Cost). When
+ * attached, recording can be thinned to 1-in-N sets
+ * (EventLogConfig::sample_sets); metadata shadows are still
+ * maintained for every set so sampled events carry exact ages. A full ring overwrites the oldest events and counts them
  * as overwritten, so a bounded buffer can watch an unbounded run.
  */
 

@@ -5,6 +5,8 @@
 
 #include "cache/cache.hh"
 #include "core/policy_factory.hh"
+#include "obs/epoch.hh"
+#include "obs/event_log.hh"
 #include "policies/lru.hh"
 #include "policies/rrip.hh"
 #include "policies/ship.hh"
@@ -467,34 +469,32 @@ runDifferential(const DiffSpec &spec, unsigned mutate_period)
 }
 
 std::string
-dispatchEquivalenceError(const DiffSpec &spec)
+observerEquivalenceError(const DiffSpec &spec)
 {
     const auto accesses = makeFuzzTrace(spec);
 
     // spec.policy is resolved through the factory (not
     // makeProductionPolicy) so the oracle covers the whole zoo,
-    // including policies with no reference model that always take
-    // the Generic path (SHiP++, Hawkeye, ...).
-    NullMemory typed_mem;
-    NullMemory generic_mem;
-    cache::Cache typed(specGeometry(spec),
-                       core::makePolicy(spec.policy, spec.seed),
-                       &typed_mem);
-    cache::Cache generic(specGeometry(spec),
-                         core::makePolicy(spec.policy, spec.seed),
-                         &generic_mem);
-    generic.setForceGenericDispatch(true);
-    if (std::string(generic.dispatchKind()) != "generic") {
-        return util::format(
-            "{}: forced-generic cache reports dispatch '{}'",
-            spec.policy, generic.dispatchKind());
-    }
+    // including policies with no reference model (SHiP++,
+    // Hawkeye, ...).
+    NullMemory observed_mem;
+    NullMemory detached_mem;
+    cache::Cache observed(specGeometry(spec),
+                          core::makePolicy(spec.policy, spec.seed),
+                          &observed_mem);
+    cache::Cache detached(specGeometry(spec),
+                          core::makePolicy(spec.policy, spec.seed),
+                          &detached_mem);
+    obs::EventLog log;
+    obs::EpochSampler epoch(64);
+    observed.setEventLog(&log);
+    observed.setEpochSampler(&epoch);
 
     for (size_t i = 0; i < accesses.size(); ++i) {
         if (spec.flush_period > 0 && i > 0 &&
             i % spec.flush_period == 0) {
-            typed.flush();
-            generic.flush();
+            observed.flush();
+            detached.flush();
         }
         const trace::LlcAccess &a = accesses[i];
         cache::MemRequest req;
@@ -502,47 +502,52 @@ dispatchEquivalenceError(const DiffSpec &spec)
         req.pc = a.pc;
         req.type = a.type;
         req.cpu = a.cpu;
-        const uint64_t t_typed = typed.access(req, i);
-        const uint64_t t_generic = generic.access(req, i);
-        if (t_typed != t_generic) {
+        const uint64_t t_observed = observed.access(req, i);
+        const uint64_t t_detached = detached.access(req, i);
+        if (t_observed != t_detached) {
             return util::format(
-                "{}: completion-time divergence on {}: typed={} "
-                "generic={}",
-                spec.policy, formatAccess(i, a), t_typed,
-                t_generic);
+                "{}: completion-time divergence on {}: observed={} "
+                "detached={}",
+                spec.policy, formatAccess(i, a), t_observed,
+                t_detached);
         }
 
         const uint64_t line =
             cache::CacheGeometry::lineAddress(a.address);
         const uint32_t set = static_cast<uint32_t>(
             (line >> cache::kLineBits) % spec.sets);
-        const auto typed_lines =
-            viewsToRefLines(typed.setContents(set));
-        const auto generic_lines =
-            viewsToRefLines(generic.setContents(set));
+        const auto observed_lines =
+            viewsToRefLines(observed.setContents(set));
+        const auto detached_lines =
+            viewsToRefLines(detached.setContents(set));
         for (uint32_t w = 0; w < spec.ways; ++w) {
-            if (typed_lines[w].valid == generic_lines[w].valid &&
-                (!typed_lines[w].valid ||
-                 typed_lines[w].line == generic_lines[w].line)) {
+            if (observed_lines[w].valid == detached_lines[w].valid &&
+                (!observed_lines[w].valid ||
+                 observed_lines[w].line == detached_lines[w].line)) {
                 continue;
             }
             return util::format(
                 "{}: content divergence on {} (set {} way {}): "
-                "typed={} generic={}",
+                "observed={} detached={}",
                 spec.policy, formatAccess(i, a), set, w,
-                formatSet(typed_lines), formatSet(generic_lines));
+                formatSet(observed_lines), formatSet(detached_lines));
         }
     }
 
-    const auto typed_stats = typed.statSet().items();
-    const auto generic_stats = generic.statSet().items();
-    if (typed_stats != generic_stats) {
+    // An observer that never fired would make the comparison
+    // vacuous.
+    if (log.recorded() == 0)
+        return util::format("{}: event log recorded nothing",
+                            spec.policy);
+
+    const auto observed_stats = observed.statSet().items();
+    const auto detached_stats = detached.statSet().items();
+    if (observed_stats != detached_stats) {
         std::string diff;
-        for (const auto &[name, value] : typed_stats) {
-            const uint64_t other =
-                generic.statSet().value(name);
+        for (const auto &[name, value] : observed_stats) {
+            const uint64_t other = detached.statSet().value(name);
             if (value != other) {
-                diff += util::format(" {}: typed={} generic={}",
+                diff += util::format(" {}: observed={} detached={}",
                                      name, value, other);
             }
         }

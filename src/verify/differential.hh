@@ -171,17 +171,18 @@ DiffResult runDifferential(const DiffSpec &spec,
                            unsigned mutate_period = 0);
 
 /**
- * Dispatch-path oracle: replay the spec's fuzz trace through two
- * production caches built from the same spec — one on the
- * devirtualized compile-time instantiation the policy selects,
- * one forced onto the virtual-dispatch fallback
- * (Cache::setForceGenericDispatch) — and require byte-identical
- * behaviour: per-access completion times, per-set resident
- * contents after every access, and the full final counter sets.
+ * Observation oracle: replay the spec's fuzz trace through two
+ * production caches built from the same spec — one with an
+ * obs::EventLog and an obs::EpochSampler attached, one with
+ * nothing attached — and require byte-identical behaviour:
+ * per-access completion times, per-set resident contents after
+ * every access, and the full final counter sets. Observation must
+ * never change simulation. The policy is resolved through the
+ * factory, so any core::knownPolicies() name works.
  * @return "" when equivalent, else a description of the first
  *         divergence
  */
-std::string dispatchEquivalenceError(const DiffSpec &spec);
+std::string observerEquivalenceError(const DiffSpec &spec);
 
 /**
  * Optimality invariant: the production policy's hit count on a

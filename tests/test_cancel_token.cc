@@ -16,7 +16,7 @@
  * overhead test interleaves repetitions, compares minima (the
  * classic noise-robust estimator), and SKIPs instead of failing
  * when the baseline itself is too unstable to support the claim
- * (same methodology as test_obs_overhead).
+ * (same methodology as test_profiler_overhead).
  */
 
 #include <gtest/gtest.h>

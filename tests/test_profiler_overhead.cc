@@ -20,9 +20,9 @@
  *    loop: the sampled LLC scopes are budgeted against real
  *    simulation work, which is the documented contract.
  *
- * Same noise discipline as test_obs_overhead.cc: interleaved
- * repetitions, min-of-reps, and a SKIP when the baseline spread
- * says the machine cannot support the claim.
+ * Noise discipline: interleaved repetitions, min-of-reps, and a
+ * SKIP when the baseline spread says the machine cannot support
+ * the claim.
  */
 
 #include <gtest/gtest.h>

@@ -3,8 +3,9 @@
  * Tests for the verification subsystem (src/verify/): the RefCache
  * protocol mirror, the brute-force Belady model, the differential
  * oracle over every reference-modeled policy (>= 50 fuzzed cells),
- * trace shrinking, the mutation self-test, and the RLR_VERIFY
- * invariant hooks.
+ * trace shrinking, flush-periodic differentials, the
+ * observer-equivalence oracle over the whole policy zoo, the
+ * mutation self-test, and the RLR_VERIFY invariant hooks.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <stdexcept>
 
 #include "cache/cache.hh"
+#include "core/policy_factory.hh"
 #include "verify/differential.hh"
 #include "verify/ref_policies.hh"
 
@@ -184,6 +186,79 @@ TEST(Differential, TraceGenerationIsDeterministic)
     spec.seed = 100;
     const auto c = verify::makeFuzzTrace(spec);
     EXPECT_FALSE(std::equal(a.begin(), a.end(), c.begin()));
+}
+
+/**
+ * Flush-then-access differential against the independent
+ * reference models: periodic Cache::flush / RefCache::flush pairs
+ * must keep production and reference in lockstep, which pins down
+ * ReplacementPolicy::reset() for every reference-modeled policy
+ * (including RNG re-seeding in BRRIP/DRRIP).
+ */
+TEST(Differential, FlushDifferentialAgainstReferenceModels)
+{
+    for (const auto &policy : verify::referencePolicies()) {
+        verify::DiffSpec spec;
+        spec.policy = policy;
+        spec.sets = 8;
+        spec.ways = 4;
+        spec.seed = 5;
+        spec.accesses = 2000;
+        spec.distinct_lines = 96;
+        spec.flush_period = 237;
+        const auto result = verify::runDifferential(spec);
+        EXPECT_TRUE(result.ok)
+            << "policy " << policy << "\n"
+            << result.repro;
+    }
+}
+
+// --- Observer equivalence ------------------------------------------
+
+namespace
+{
+
+/** Zoo-wide spec sized so DRRIP's 32 leader sets fit. */
+DiffSpec
+zooSpec(const std::string &policy, uint64_t seed)
+{
+    DiffSpec spec;
+    spec.policy = policy;
+    spec.sets = 64;
+    spec.ways = 8;
+    spec.seed = seed;
+    spec.accesses = 1500;
+    spec.distinct_lines = 64 * 8 * 2;
+    return spec;
+}
+
+} // namespace
+
+/**
+ * For every factory policy, a cache with an EventLog and an
+ * EpochSampler attached and a cache with nothing attached must
+ * agree on per-access completion times, per-set contents after
+ * every access, and the full final counter set.
+ */
+TEST(ObserverEquivalence, ObservedAndDetachedCachesAgree)
+{
+    for (const auto &policy : core::knownPolicies()) {
+        EXPECT_EQ(verify::observerEquivalenceError(
+                      zooSpec(policy, 11)),
+                  "")
+            << "policy " << policy;
+    }
+}
+
+/** Same oracle with periodic flushes (observer reset parity). */
+TEST(ObserverEquivalence, EquivalenceHoldsAcrossFlushes)
+{
+    for (const auto &policy : core::knownPolicies()) {
+        auto spec = zooSpec(policy, 23);
+        spec.flush_period = 311;
+        EXPECT_EQ(verify::observerEquivalenceError(spec), "")
+            << "policy " << policy;
+    }
 }
 
 // --- Mutation self-test --------------------------------------------
