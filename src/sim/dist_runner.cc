@@ -20,6 +20,9 @@ namespace rlr::sim
 namespace
 {
 
+/** How often the supervisor polls its children for exit. */
+constexpr std::chrono::milliseconds kChildPollPeriod{200};
+
 bool
 readWholeFile(const std::string &path, std::string &out)
 {
@@ -203,8 +206,7 @@ DistRunner::run(const std::vector<std::string> &supervisor_argv)
         if (alive == 0)
             break;
         aggregateHeartbeats(++sequence, false);
-        std::this_thread::sleep_for(std::chrono::duration<double>(
-            std::max(opts_.poll_s, 0.01)));
+        std::this_thread::sleep_for(kChildPollPeriod);
     }
     aggregateHeartbeats(++sequence, true);
 

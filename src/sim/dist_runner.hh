@@ -49,8 +49,6 @@ class DistRunner
         /** Aggregate heartbeat output path ("" = none). */
         std::string heartbeat_path;
         double heartbeat_period_s = 0.5;
-        /** Child poll period in seconds. */
-        double poll_s = 0.2;
     };
 
     explicit DistRunner(Options opts);

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <memory>
-#include <stdexcept>
 
 #include "obs/profiler.hh"
 #include "obs/resource.hh"
-#include "sim/sweep_runner.hh"
 #include "stats/stats.hh"
 #include "trace/workloads.hh"
 #include "util/logging.hh"
@@ -179,25 +177,6 @@ captureLlcTrace(const std::string &workload, const SimParams &params)
     p.llc_policy = "LRU"; // unbiased capture, as in the paper
     p.capture_llc_trace = true;
     return runWorkloads({workload}, p).llc_trace;
-}
-
-std::vector<SweepCell>
-sweep(const std::vector<std::string> &workloads,
-      const std::vector<std::string> &policies,
-      const SimParams &params, size_t threads)
-{
-    SweepOptions opts;
-    opts.threads = threads;
-    SweepRunner runner(params, opts);
-    auto cells = runner.run(workloads, policies);
-    for (const auto &c : cells) {
-        if (!c.ok()) {
-            throw std::runtime_error(
-                util::format("sweep cell ({}, {}) failed: {}",
-                             c.workload, c.policy, c.error));
-        }
-    }
-    return cells;
 }
 
 const SweepCell &

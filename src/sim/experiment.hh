@@ -1,8 +1,8 @@
 /**
  * @file
  * Experiment drivers: warmup+measure simulation of one workload
- * (or a multicore mix) under a named LLC policy, plus a threaded
- * sweep helper used by every bench harness.
+ * (or a multicore mix) under a named LLC policy. Sweeps over many
+ * cells run through sim::SweepRunner (sim/sweep_runner.hh).
  */
 
 #ifndef RLR_SIM_EXPERIMENT_HH
@@ -160,23 +160,6 @@ struct SweepCell
 
     bool ok() const { return error.empty(); }
 };
-
-/**
- * Run every (workload, policy) pair, parallelized across
- * @p threads worker threads. Results are deterministic: each cell
- * simulates in isolation with a seed derived from params.seed and
- * the workload name (never from scheduling order).
- *
- * Thin wrapper over SweepRunner that preserves the historical
- * fail-fast contract: every cell is attempted, then the first
- * cell failure (if any) is rethrown as std::runtime_error. Use
- * SweepRunner directly for fault-isolated sweeps that report
- * per-cell errors instead of throwing.
- */
-std::vector<SweepCell>
-sweep(const std::vector<std::string> &workloads,
-      const std::vector<std::string> &policies,
-      const SimParams &params, size_t threads);
 
 /** Find a cell in a sweep result; fatal() when absent. */
 const SweepCell &findCell(const std::vector<SweepCell> &cells,

@@ -44,7 +44,8 @@
 namespace rlr::sim
 {
 
-/** Distributed-execution knobs of one sweep (SweepOptions). */
+/** Distributed-execution knobs of one sweep (SweepOptions):
+ *  leases layered on the sweep's in-process claim table. */
 struct DistOptions
 {
     /** Claim cells through journal leases (worker / merge mode). */
@@ -54,9 +55,6 @@ struct DistOptions
     /** Lease time-to-live: a lease unrenewed for longer than this
      *  is considered abandoned and may be stolen. */
     double lease_ttl_s = 10.0;
-    /** Poll period while waiting for cells held by other
-     *  workers. */
-    double poll_s = 0.05;
 };
 
 /** Decoded contents (+age) of one lease file. */
@@ -138,10 +136,6 @@ class Lease
      * claimants once old enough).
      */
     static bool read(const std::string &path, LeaseInfo &out);
-
-    const std::string &dir() const { return dir_; }
-    double ttl() const { return ttl_s_; }
-    uint32_t worker() const { return worker_; }
 
   private:
     std::string dir_;

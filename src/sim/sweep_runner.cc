@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <stop_token>
 #include <thread>
 #include <utility>
 
@@ -128,7 +129,7 @@ class SignalGuard
     struct sigaction old_term_ = {};
 };
 
-/** Per-cell watchdog state shared with the monitor thread. */
+/** Per-cell watchdog and lease state shared with the monitor. */
 struct AttemptSlot
 {
     util::CancelToken token;
@@ -141,8 +142,6 @@ struct AttemptSlot
     // fault deliberately lets the lease expire).
     std::atomic<uint64_t> lease_fence{0};
     std::atomic<uint32_t> lease_attempt{0};
-    /** Last renewal in steady-clock millis. */
-    std::atomic<int64_t> lease_renew_ms{0};
     std::atomic<bool> stalled{false};
 };
 
@@ -208,6 +207,317 @@ injectFault(const FaultAction &fault, uint32_t attempt,
     }
 }
 
+/**
+ * Journal open + resume: verify the header, mark every cell an
+ * earlier run committed resumed, reap stale in-flight markers, and
+ * fill @p hashes. @return nullptr when the sweep has no journal.
+ */
+std::unique_ptr<SweepJournal>
+openJournal(const SimParams &params, const SweepOptions &opts,
+            const std::vector<SweepRunner::CellSpec> &specs,
+            std::vector<SweepCell> &cells,
+            std::vector<uint64_t> &hashes, size_t &reaped_markers)
+{
+    if (opts.journal_dir.empty())
+        return nullptr;
+    const size_t n = specs.size();
+    for (size_t i = 0; i < n; ++i)
+        hashes[i] = SweepJournal::specHash(specs[i], cells[i].seed);
+    JournalHeader header;
+    header.master_seed = params.seed;
+    header.config_hash = sweepConfigHash(params, specs);
+    header.build = RLR_GIT_DESCRIBE;
+    header.writer = util::format("pid {} worker {}",
+                                 static_cast<long>(::getpid()),
+                                 opts.dist.worker_id);
+    header.n_cells = n;
+    std::unique_ptr<SweepJournal> journal;
+    try {
+        journal =
+            std::make_unique<SweepJournal>(opts.journal_dir, header);
+    } catch (const std::exception &e) {
+        util::fatal("{}", e.what());
+    }
+    if (params.llc_events_capacity > 0) {
+        util::warn("--journal does not persist LLC event logs; "
+                   "resumed cells carry empty events");
+    }
+    for (size_t i = 0; i < n; ++i) {
+        if (journal->load(hashes[i], specs[i], cells[i].seed,
+                          cells[i])) {
+            cells[i].resumed = true;
+        }
+    }
+    // In-flight markers older than the lease TTL (or covered by a
+    // record) are breadcrumbs of attempts a crashed worker never
+    // finished.
+    reaped_markers = journal->reapStaleMarkers(opts.dist.lease_ttl_s);
+    if (reaped_markers > 0) {
+        util::warn("reaped {} stale in-flight marker{} in '{}'",
+                   reaped_markers, reaped_markers == 1 ? "" : "s",
+                   journal->dir());
+    }
+    return journal;
+}
+
+/** Re-scan period while only cells other workers hold remain. */
+constexpr double kLeasePollS = 0.05;
+
+/**
+ * The claim and commit ends of the sweep's one worker loop. Per-cell
+ * claim states under one mutex hand each cell to exactly one thread.
+ * Distributed sweeps layer the lease protocol (sim/lease.hh) on top:
+ * a cell another process committed is merged from the journal, a
+ * cell runs only under a won lease, and a commit is fenced and then
+ * releases the lease.
+ */
+class CellClaims
+{
+  public:
+    CellClaims(const std::vector<SweepRunner::CellSpec> &specs,
+               std::vector<SweepCell> &cells,
+               const std::vector<uint64_t> &hashes,
+               SweepJournal *journal, const DistOptions &dist,
+               std::vector<AttemptSlot> &slots,
+               std::atomic<uint64_t> &steals)
+        : specs_(specs), cells_(cells), hashes_(hashes),
+          journal_(journal), slots_(slots), steals_(steals),
+          ttl_s_(dist.lease_ttl_s), state_(cells.size(), State::Open)
+    {
+        for (size_t i = 0; i < cells.size(); ++i)
+            if (cells[i].resumed)
+                state_[i] = State::Settled;
+        if (dist.enabled) {
+            lease_ = std::make_unique<Lease>(
+                journal->dir(), dist.worker_id, dist.lease_ttl_s);
+        }
+    }
+
+    /**
+     * Claim the next unsettled cell into @p cell; @p merged says
+     * another process's journal record settled it instead. @return
+     * false when draining or when siblings hold every unsettled cell.
+     */
+    bool
+    next(size_t &cell, bool &merged,
+         const std::atomic<bool> &draining)
+    {
+        while (!draining.load(std::memory_order_relaxed)) {
+            bool waiting = false;
+            for (size_t i = claimOpen(0); i < state_.size();
+                 i = claimOpen(i + 1)) {
+                cell = i;
+                merged = false;
+                if (!lease_)
+                    return true;
+                if (journal_->reload(hashes_[i], specs_[i],
+                                     cells_[i].seed, cells_[i])) {
+                    merged = true;
+                    std::lock_guard<std::mutex> lk(mu_);
+                    state_[i] = State::Settled;
+                    return true;
+                }
+                const Lease::Claim lease =
+                    lease_->tryClaim(hashes_[i], 1, stealAfter());
+                if (lease.won) {
+                    if (lease.stole)
+                        steals_.fetch_add(1);
+                    slots_[i].lease_attempt.store(
+                        1, std::memory_order_relaxed);
+                    slots_[i].lease_fence.store(
+                        lease.fence, std::memory_order_relaxed);
+                    return true;
+                }
+                reopen(i); // held by a live worker elsewhere
+                waiting = true;
+            }
+            if (!waiting)
+                return false;
+            sleepInterruptible(kLeasePollS, draining);
+        }
+        return false;
+    }
+
+    /** Journal and settle a finished cell. @return false (cell
+     *  reopened, nothing written) when its lease was re-issued while
+     *  it ran: the thief's commit is authoritative. */
+    bool
+    commit(size_t i, const SweepCell &cell, bool corrupt_record)
+    {
+        const uint64_t fence = disarm(i);
+        if (lease_ && !lease_->stillHeld(hashes_[i], fence)) {
+            reopen(i);
+            return false;
+        }
+        if (journal_)
+            journal_->append(hashes_[i], cell, corrupt_record);
+        if (lease_)
+            lease_->release(hashes_[i], fence);
+        std::lock_guard<std::mutex> lk(mu_);
+        state_[i] = State::Settled;
+        walls_.push_back(cell.wall_seconds);
+        return true;
+    }
+
+    /** A drain cancelled cell @p i: it stays claimed, so no sibling
+     *  runs it, and runs again on resume. */
+    void cancelled(size_t i) { disarm(i); }
+
+    /**
+     * The drain pass, after the workers joined: label every
+     * unsettled cell that has no outcome yet (never claimed)
+     * "cancelled: signal". @return how many it labelled.
+     */
+    uint64_t
+    labelUnsettled()
+    {
+        uint64_t labelled = 0;
+        for (size_t i = 0; i < state_.size(); ++i) {
+            if (state_[i] != State::Settled &&
+                cells_[i].error.empty()) {
+                cells_[i].error = "cancelled: signal";
+                ++labelled;
+            }
+        }
+        return labelled;
+    }
+
+    /** Renew held leases every TTL/3 (monitor thread); a stalled
+     *  slot deliberately lets its lease expire. */
+    void
+    renewHeld()
+    {
+        const int64_t now = nowMillis();
+        const auto every = static_cast<int64_t>(ttl_s_ * 1000.0 / 3.0);
+        if (!lease_ || now - renewed_ms_ < every)
+            return;
+        renewed_ms_ = now;
+        std::lock_guard<std::mutex> lk(mu_);
+        for (size_t i = 0; i < slots_.size(); ++i) {
+            const AttemptSlot &slot = slots_[i];
+            const uint64_t fence =
+                slot.lease_fence.load(std::memory_order_relaxed);
+            if (fence != 0 &&
+                !slot.stalled.load(std::memory_order_relaxed)) {
+                lease_->renew(hashes_[i],
+                              slot.lease_attempt.load(
+                                  std::memory_order_relaxed),
+                              fence);
+            }
+        }
+    }
+
+  private:
+    enum class State : uint8_t { Open, Claimed, Settled };
+
+    /** Claim the first open cell at or after @p from; n if none. */
+    size_t
+    claimOpen(size_t from)
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        for (; from < state_.size(); ++from) {
+            if (state_[from] == State::Open) {
+                state_[from] = State::Claimed;
+                break;
+            }
+        }
+        return from;
+    }
+
+    void
+    reopen(size_t i)
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        state_[i] = State::Open;
+    }
+
+    /** Stop renewing cell @p i's lease; @return its fence. Holding
+     *  mu_ means no renewal can rewrite a released lease. */
+    uint64_t
+    disarm(size_t i)
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        slots_[i].stalled.store(false, std::memory_order_relaxed);
+        return slots_[i].lease_fence.exchange(
+            0, std::memory_order_relaxed);
+    }
+
+    /** Steal threshold max(TTL, 3 x median committed cell wall),
+     *  so cells that legitimately run long are not re-issued. */
+    double
+    stealAfter() const
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        if (walls_.empty())
+            return ttl_s_;
+        std::vector<double> s(walls_);
+        std::nth_element(s.begin(), s.begin() + s.size() / 2,
+                         s.end());
+        return std::max(ttl_s_, 3.0 * s[s.size() / 2]);
+    }
+
+    const std::vector<SweepRunner::CellSpec> &specs_;
+    std::vector<SweepCell> &cells_;
+    const std::vector<uint64_t> &hashes_;
+    SweepJournal *journal_;
+    std::vector<AttemptSlot> &slots_;
+    std::atomic<uint64_t> &steals_;
+    const double ttl_s_;
+    /** Distributed sweeps only. */
+    std::unique_ptr<Lease> lease_;
+
+    /** Guards state_ and walls_, and orders renewals against
+     *  disarm(). */
+    mutable std::mutex mu_;
+    std::vector<State> state_;
+    /** Wall clocks of the cells committed here. */
+    std::vector<double> walls_;
+    /** Last renewal pass (monitor thread only). */
+    int64_t renewed_ms_ = 0;
+};
+
+/** The monitor thread: every 20 ms until @p stop, turn a caught
+ *  signal into a drain, cancel attempts past their watchdog
+ *  deadline, and renew held leases. */
+void
+monitorLoop(const SweepOptions &opts, std::vector<AttemptSlot> &slots,
+            CellClaims &claims, std::atomic<bool> &draining,
+            const std::stop_token &stop)
+{
+    using Reason = util::CancelToken::Reason;
+    while (!stop.stop_requested()) {
+        const int sig =
+            g_signal_caught.load(std::memory_order_relaxed);
+        if (opts.handle_signals && sig != 0) {
+            if (!draining.exchange(true)) {
+                g_sweep_interrupted.store(true);
+                // Serialized with the progress status line by the
+                // logging hook's mutex.
+                util::warn("sweep caught signal {}: draining "
+                           "(cancelling in-flight cells, keeping "
+                           "journal + partial JSON)",
+                           sig);
+            }
+            // Re-cancel every poll: attempts armed in the race
+            // window still get the signal reason.
+            for (auto &slot : slots)
+                slot.token.cancel(Reason::Signal);
+        }
+        if (opts.cell_timeout_s > 0.0) {
+            const int64_t now = nowMillis();
+            for (auto &slot : slots) {
+                const int64_t deadline =
+                    slot.deadline_ms.load(std::memory_order_relaxed);
+                if (deadline >= 0 && now > deadline)
+                    slot.token.cancel(Reason::Timeout);
+            }
+        }
+        claims.renewHeld();
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(20));
+    }
+}
+
 } // namespace
 
 SweepRunner::SweepRunner(SimParams params, SweepOptions opts)
@@ -251,75 +561,18 @@ SweepRunner::runCells(std::vector<CellSpec> specs)
         cells[i].seed = cellSeed(params_.seed, specs[i].workload);
     }
 
-    // ---- journal open + resume ----------------------------------
     if (opts_.dist.enabled && opts_.journal_dir.empty()) {
         util::fatal("distributed sweep execution needs a shared "
                     "--journal directory");
     }
-    std::unique_ptr<SweepJournal> journal;
     std::vector<uint64_t> hashes(n, 0);
-    std::vector<char> resumed_mask(n, 0);
-    size_t resumed = 0;
     size_t reaped_markers = 0;
-    if (!opts_.journal_dir.empty()) {
-        for (size_t i = 0; i < n; ++i)
-            hashes[i] =
-                SweepJournal::specHash(specs[i], cells[i].seed);
-        JournalHeader header;
-        header.master_seed = params_.seed;
-        header.config_hash = sweepConfigHash(params_, specs);
-        header.build = RLR_GIT_DESCRIBE;
-        header.writer = util::format(
-            "pid {} worker {}", static_cast<long>(::getpid()),
-            opts_.dist.worker_id);
-        header.n_cells = n;
-        try {
-            journal = std::make_unique<SweepJournal>(
-                opts_.journal_dir, header);
-        } catch (const std::exception &e) {
-            util::fatal("{}", e.what());
-        }
-        if (params_.llc_events_capacity > 0) {
-            util::warn("--journal does not persist LLC event "
-                       "logs; resumed cells carry empty events");
-        }
-        for (size_t i = 0; i < n; ++i) {
-            if (journal->load(hashes[i], specs[i], cells[i].seed,
-                              cells[i])) {
-                cells[i].resumed = true;
-                resumed_mask[i] = 1;
-                ++resumed;
-            }
-        }
-        // In-flight markers older than the lease TTL (or covered
-        // by a record) are breadcrumbs of attempts a crashed
-        // worker never finished.
-        reaped_markers =
-            journal->reapStaleMarkers(opts_.dist.lease_ttl_s);
-        if (reaped_markers > 0) {
-            util::warn("reaped {} stale in-flight marker{} in "
-                       "'{}'",
-                       reaped_markers,
-                       reaped_markers == 1 ? "" : "s",
-                       journal->dir());
-        }
-    }
+    const std::unique_ptr<SweepJournal> journal = openJournal(
+        params_, opts_, specs, cells, hashes, reaped_markers);
+    const auto resumed = static_cast<size_t>(
+        std::count_if(cells.begin(), cells.end(),
+                      [](const SweepCell &c) { return c.resumed; }));
 
-    // Lease-based claiming (distributed execution only).
-    std::unique_ptr<Lease> lease;
-    if (opts_.dist.enabled) {
-        lease = std::make_unique<Lease>(journal->dir(),
-                                        opts_.dist.worker_id,
-                                        opts_.dist.lease_ttl_s);
-    }
-
-    std::vector<size_t> pending;
-    pending.reserve(n - resumed);
-    for (size_t i = 0; i < n; ++i)
-        if (!resumed_mask[i])
-            pending.push_back(i);
-
-    // ---- liveness heartbeat -------------------------------------
     std::unique_ptr<obs::HeartbeatWriter> heartbeat;
     if (!opts_.heartbeat_path.empty()) {
         heartbeat = std::make_unique<obs::HeartbeatWriter>(
@@ -327,99 +580,7 @@ SweepRunner::runCells(std::vector<CellSpec> specs)
             resumed);
     }
 
-    // ---- watchdog / signal-drain monitor ------------------------
     std::vector<AttemptSlot> slots(n);
-    std::atomic<bool> draining{false};
-    std::atomic<bool> monitor_stop{false};
-    SignalGuard signal_guard(opts_.handle_signals);
-    // A sweep in an already-interrupted process drains at once.
-    if (opts_.handle_signals &&
-        g_signal_caught.load(std::memory_order_relaxed) != 0) {
-        draining.store(true);
-        g_sweep_interrupted.store(true);
-    }
-
-    const bool want_monitor = opts_.handle_signals ||
-                              opts_.cell_timeout_s > 0.0 ||
-                              lease != nullptr;
-    std::thread monitor;
-    if (want_monitor && !pending.empty()) {
-        monitor = std::thread([&] {
-            while (!monitor_stop.load(std::memory_order_relaxed)) {
-                const int sig = g_signal_caught.load(
-                    std::memory_order_relaxed);
-                if (opts_.handle_signals && sig != 0) {
-                    if (!draining.exchange(true)) {
-                        g_sweep_interrupted.store(true);
-                        // Serialized with the progress status
-                        // line by the logging hook's mutex.
-                        util::warn(
-                            "sweep caught signal {}: draining "
-                            "(cancelling in-flight cells, "
-                            "keeping journal + partial JSON)",
-                            sig);
-                    }
-                    // Re-cancel every poll: attempts armed in the
-                    // race window still get the signal reason.
-                    for (auto &slot : slots) {
-                        slot.token.cancel(
-                            util::CancelToken::Reason::Signal);
-                    }
-                }
-                if (opts_.cell_timeout_s > 0.0) {
-                    const int64_t now = nowMillis();
-                    for (auto &slot : slots) {
-                        const int64_t deadline =
-                            slot.deadline_ms.load(
-                                std::memory_order_relaxed);
-                        if (deadline >= 0 && now > deadline) {
-                            slot.token.cancel(
-                                util::CancelToken::Reason::
-                                    Timeout);
-                        }
-                    }
-                }
-                if (lease) {
-                    // Renew held leases every TTL/3 so a live
-                    // worker's cells are never stolen; a stalled
-                    // slot (stall-worker fault) deliberately
-                    // skips renewal and lets its lease expire.
-                    const int64_t now = nowMillis();
-                    const auto renew_every = static_cast<int64_t>(
-                        opts_.dist.lease_ttl_s * 1000.0 / 3.0);
-                    for (size_t i = 0; i < slots.size(); ++i) {
-                        AttemptSlot &slot = slots[i];
-                        const uint64_t fence =
-                            slot.lease_fence.load(
-                                std::memory_order_relaxed);
-                        if (fence == 0 ||
-                            slot.stalled.load(
-                                std::memory_order_relaxed)) {
-                            continue;
-                        }
-                        if (now - slot.lease_renew_ms.load(
-                                      std::memory_order_relaxed) <
-                            renew_every) {
-                            continue;
-                        }
-                        lease->renew(hashes[i],
-                                     slot.lease_attempt.load(
-                                         std::memory_order_relaxed),
-                                     fence);
-                        slot.lease_renew_ms.store(
-                            nowMillis(),
-                            std::memory_order_relaxed);
-                    }
-                }
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(20));
-            }
-        });
-    }
-
-    // ---- parallel cell execution --------------------------------
-    const auto sweep_start = Clock::now();
-    std::atomic<size_t> done{resumed};
     std::atomic<uint64_t> retry_count{0};
     std::atomic<uint64_t> timeout_count{0};
     std::atomic<uint64_t> failed_count{0};
@@ -428,7 +589,29 @@ SweepRunner::runCells(std::vector<CellSpec> specs)
     std::atomic<uint64_t> merged_count{0};
     std::atomic<uint64_t> fenced_count{0};
     std::atomic<uint64_t> steal_count{0};
+    CellClaims claims(specs, cells, hashes, journal.get(), opts_.dist,
+                      slots, steal_count);
 
+    std::atomic<bool> draining{false};
+    SignalGuard signal_guard(opts_.handle_signals);
+    // A sweep in an already-interrupted process drains at once.
+    if (opts_.handle_signals &&
+        g_signal_caught.load(std::memory_order_relaxed) != 0) {
+        draining.store(true);
+        g_sweep_interrupted.store(true);
+    }
+    // Joined on scope exit, so also when a worker throws.
+    std::jthread monitor;
+    if (resumed < n && (opts_.handle_signals ||
+                        opts_.cell_timeout_s > 0.0 ||
+                        opts_.dist.enabled)) {
+        monitor = std::jthread([&](std::stop_token stop) {
+            monitorLoop(opts_, slots, claims, draining, stop);
+        });
+    }
+
+    const auto sweep_start = Clock::now();
+    std::atomic<size_t> done{resumed};
     auto bump_progress = [&] {
         const size_t n_done = done.fetch_add(1) + 1;
         if (!opts_.progress)
@@ -446,15 +629,16 @@ SweepRunner::runCells(std::vector<CellSpec> specs)
             "eta {:.1f}s", n_done, n, resumed, elapsed, eta));
     };
 
-    auto run_one = [&](size_t i) -> bool {
+    // Execute one claimed cell, then commit it.
+    auto run_one = [&](size_t i) {
         RLR_PROF_SCOPE("sweep.cell");
         SweepCell &cell = cells[i];
         const CellSpec &spec = specs[i];
         AttemptSlot &slot = slots[i];
-        const FaultAction fault = opts_.faults.actionFor(
-            i, spec.workload + ":" + spec.policy, cell.seed);
         const std::string label =
             spec.workload + ":" + spec.policy;
+        const FaultAction fault =
+            opts_.faults.actionFor(i, label, cell.seed);
 
         // Deterministic crash for the crash/resume harness: die
         // the instant this cell is reached, no flushing.
@@ -462,12 +646,11 @@ SweepRunner::runCells(std::vector<CellSpec> specs)
             !draining.load(std::memory_order_relaxed)) {
             std::raise(SIGKILL);
         }
-        // Distributed faults, gated on fencing token 1 so only
-        // the FIRST claimant misbehaves — survivors that re-claim
-        // the cell run it clean and the sweep still converges.
-        if (lease &&
-            slot.lease_fence.load(std::memory_order_relaxed) <=
-                1 &&
+        // Distributed faults fire only under fencing token 1 (a
+        // held lease's first issue), so only the FIRST claimant
+        // misbehaves — survivors that re-claim the cell run it
+        // clean and the sweep still converges.
+        if (slot.lease_fence.load(std::memory_order_relaxed) == 1 &&
             !draining.load(std::memory_order_relaxed)) {
             if (fault.kind == FaultKind::KillWorker)
                 std::raise(SIGKILL);
@@ -475,8 +658,7 @@ SweepRunner::runCells(std::vector<CellSpec> specs)
                 // Stop renewing and outlive the TTL: the lease
                 // expires, a survivor re-issues the cell, and our
                 // eventual commit is fenced off.
-                slot.stalled.store(true,
-                                   std::memory_order_relaxed);
+                slot.stalled.store(true, std::memory_order_relaxed);
                 sleepInterruptible(opts_.dist.lease_ttl_s * 3.0,
                                    draining);
             }
@@ -492,7 +674,6 @@ SweepRunner::runCells(std::vector<CellSpec> specs)
         const obs::ResourceSample res_start =
             obs::ResourceSample::now(
                 obs::ResourceSample::Scope::Thread);
-
         const uint32_t max_attempts = 1 + opts_.cell_retries;
         double backoff_prev = opts_.retry_base_s;
         util::Rng retry_rng(mix64(cell.seed ^ 0x7265747279ULL));
@@ -585,176 +766,53 @@ SweepRunner::runCells(std::vector<CellSpec> specs)
         if (heartbeat)
             heartbeat->cellFinished(cell.ok());
 
-        bool settled_here = false;
         if (signal_cancelled) {
             // Not a final outcome — the cell re-runs on resume.
             cancelled_count.fetch_add(1);
-        } else if (lease &&
-                   !lease->stillHeld(
-                       hashes[i], slot.lease_fence.load(
-                                      std::memory_order_relaxed))) {
-            // Our lease was stolen while we ran (we stalled or
-            // straggled past the re-issue threshold): the
-            // thief's commit is authoritative, ours is dropped.
+            claims.cancelled(i);
+        } else if (!claims.commit(
+                       i, cell,
+                       fault.kind == FaultKind::CorruptJournal)) {
             fenced_count.fetch_add(1);
         } else {
             completed_count.fetch_add(1);
             if (!cell.ok())
                 failed_count.fetch_add(1);
-            if (journal) {
-                journal->append(
-                    hashes[i], cell,
-                    fault.kind == FaultKind::CorruptJournal);
-            }
-            if (lease) {
-                lease->release(hashes[i],
-                               slot.lease_fence.load(
-                                   std::memory_order_relaxed));
-            }
-            settled_here = true;
-        }
-        if (!lease || settled_here)
             bump_progress();
-        return settled_here;
+        }
     };
 
-    if (!lease) {
-        util::ThreadPool::parallelFor(
-            pending.size(), opts_.threads,
-            [&](size_t k) { run_one(pending[k]); });
-    } else {
-        // ---- distributed claim-execute-commit loop --------------
-        //
-        // Every worker thread scans the unsettled cells: cells
-        // another worker already committed are merged from the
-        // journal; unclaimed cells are claimed through a lease and
-        // run; expired leases (their worker was SIGKILLed or
-        // hung) are stolen and re-issued. The loop ends when
-        // every cell has a durable outcome — terminal failures
-        // journal a record too, so convergence never depends on
-        // cells succeeding.
-        std::mutex sched_mu;
-        std::vector<char> settled(resumed_mask);
-        std::vector<double> walls; // committed cell wall clocks
-
-        auto steal_after = [&]() -> double {
-            // Straggler re-issue threshold: steal only after
-            // max(TTL, 3 x median committed cell wall), so cells
-            // that legitimately run long on a loaded machine are
-            // not prematurely re-issued even if renewal lags.
-            std::lock_guard<std::mutex> lk(sched_mu);
-            if (walls.empty())
-                return opts_.dist.lease_ttl_s;
-            std::vector<double> s(walls);
-            std::nth_element(s.begin(), s.begin() + s.size() / 2,
-                             s.end());
-            return std::max(opts_.dist.lease_ttl_s,
-                            3.0 * s[s.size() / 2]);
-        };
-
-        auto worker_loop = [&](size_t) {
-            while (!draining.load(std::memory_order_relaxed)) {
-                bool all_settled = true;
-                bool progressed = false;
-                for (size_t i = 0; i < n; ++i) {
-                    if (draining.load(std::memory_order_relaxed))
-                        return;
-                    {
-                        std::lock_guard<std::mutex> lk(sched_mu);
-                        if (settled[i])
-                            continue;
-                    }
-                    all_settled = false;
-
-                    // Merge a record another worker committed
-                    // since we opened the journal.
-                    SweepCell rec;
-                    if (journal->reload(hashes[i], specs[i],
-                                        cells[i].seed, rec)) {
-                        bool first = false;
-                        {
-                            std::lock_guard<std::mutex> lk(
-                                sched_mu);
-                            if (!settled[i]) {
-                                settled[i] = 1;
-                                first = true;
-                            }
-                        }
-                        if (first) {
-                            cells[i] = rec;
-                            merged_count.fetch_add(1);
-                            if (!rec.ok())
-                                failed_count.fetch_add(1);
-                            if (heartbeat) {
-                                heartbeat->cellStarted(
-                                    specs[i].workload + ":" +
-                                        specs[i].policy,
-                                    rec.attempts);
-                                heartbeat->cellFinished(rec.ok());
-                            }
-                            bump_progress();
-                        }
-                        progressed = true;
-                        continue;
-                    }
-
-                    const Lease::Claim claim = lease->tryClaim(
-                        hashes[i], 1, steal_after());
-                    if (!claim.won)
-                        continue; // held by a live worker — poll
-                    if (claim.stole)
-                        steal_count.fetch_add(1);
-                    AttemptSlot &slot = slots[i];
-                    slot.stalled.store(false,
-                                       std::memory_order_relaxed);
-                    slot.lease_attempt.store(
-                        1, std::memory_order_relaxed);
-                    slot.lease_renew_ms.store(
-                        nowMillis(), std::memory_order_relaxed);
-                    // Arm renewal last: the monitor ignores the
-                    // slot until the fence is published.
-                    slot.lease_fence.store(
-                        claim.fence, std::memory_order_relaxed);
-                    const bool committed = run_one(i);
-                    slot.lease_fence.store(
-                        0, std::memory_order_relaxed);
-                    slot.stalled.store(false,
-                                       std::memory_order_relaxed);
-                    if (committed) {
-                        std::lock_guard<std::mutex> lk(sched_mu);
-                        settled[i] = 1;
-                        walls.push_back(cells[i].wall_seconds);
-                    }
-                    progressed = true;
-                }
-                if (all_settled)
-                    return;
-                if (!progressed)
-                    sleepInterruptible(opts_.dist.poll_s,
-                                       draining);
+    // ---- the worker loop: claim -> execute -> commit ------------
+    auto worker = [&](size_t) {
+        size_t i = 0;
+        bool merged = false;
+        while (claims.next(i, merged, draining)) {
+            if (!merged) {
+                run_one(i);
+                continue;
             }
-        };
-        util::ThreadPool::parallelFor(opts_.threads,
-                                      opts_.threads, worker_loop);
-
-        // A drain leaves unsettled cells behind; label them so
-        // the export and exit status reflect the interruption.
-        for (size_t i = 0; i < n; ++i) {
-            bool s;
-            {
-                std::lock_guard<std::mutex> lk(sched_mu);
-                s = settled[i] != 0;
+            const SweepCell &cell = cells[i];
+            merged_count.fetch_add(1);
+            if (!cell.ok())
+                failed_count.fetch_add(1);
+            if (heartbeat) {
+                heartbeat->cellStarted(
+                    cell.workload + ":" + cell.policy, cell.attempts);
+                heartbeat->cellFinished(cell.ok());
             }
-            if (!s && cells[i].error.empty()) {
-                cells[i].error = "cancelled: signal";
-                cancelled_count.fetch_add(1);
-            }
+            bump_progress();
         }
-    }
-
-    monitor_stop.store(true);
+    };
+    util::ThreadPool::parallelFor(
+        std::min(std::max<size_t>(opts_.threads, 1), n - resumed),
+        opts_.threads, worker);
+    monitor.request_stop();
     if (monitor.joinable())
         monitor.join();
+
+    // A drain leaves cells unsettled; label them so the export and
+    // exit status reflect the interruption.
+    cancelled_count += claims.labelUnsettled();
     if (heartbeat)
         heartbeat->finish();
 
@@ -916,13 +974,6 @@ SweepRunner::chromeTraceJson(const std::vector<SweepCell> &cells)
     std::vector<obs::TraceSpan> spans = cellTraceSpans(cells);
     obs::assignLanes(spans);
     return obs::chromeTraceJson(spans, "sweep");
-}
-
-void
-SweepRunner::writeChromeTrace(const std::string &path,
-                              const std::vector<SweepCell> &cells)
-{
-    util::atomicWriteFileOrFatal(path, chromeTraceJson(cells));
 }
 
 void

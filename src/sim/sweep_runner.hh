@@ -4,46 +4,30 @@
  * parallel experiment engine behind every (workload x policy)
  * sweep.
  *
- * Each cell runs in isolation on a worker thread with a seed
- * derived deterministically from the master seed and the cell's
- * workload label (never from scheduling order, so serial and
- * parallel sweeps agree bit-for-bit, and every policy sees the
- * same access stream for a given workload). A throwing cell is
- * captured as a per-cell error string instead of tearing down the
- * sweep: the remaining cells still run, and callers decide how to
- * surface the failure (error table, JSON export, exit status).
+ * Every sweep runs one worker loop on each of its threads: claim
+ * the next unsettled cell, execute it, commit it. An in-process
+ * claim table hands each cell to exactly one thread; distributed
+ * sweeps (SweepOptions::dist) add journal merges and lease claims
+ * on top of it, so worker processes and threads share the loop.
+ * Each cell's seed derives from the master seed and its workload
+ * label only, so thread count, process count and claim order never
+ * change results, and every policy sees the same access stream for
+ * a workload. A throwing cell becomes a per-cell error string; the
+ * remaining cells still run.
  *
- * Robustness (docs/ROBUSTNESS.md):
- *  - a durable journal (SweepOptions::journal_dir) records each
- *    completed cell with an atomic write; restarting the same
- *    sweep skips journaled cells, and under stable_telemetry the
- *    resumed JSON export is byte-identical to an uninterrupted
- *    run's;
- *  - a watchdog (SweepOptions::cell_timeout_s) cancels attempts
- *    that exceed their deadline via the cooperative CancelToken
- *    threaded through the core run loops;
- *  - retryable failures (watchdog timeouts, injected transient
- *    faults) are re-run up to SweepOptions::cell_retries times
- *    with decorrelated-jitter backoff;
- *  - SIGINT/SIGTERM (SweepOptions::handle_signals) trigger a
- *    graceful drain: in-flight cells are cancelled, finished
- *    cells stay journaled, and the partial JSON export is still
- *    written;
- *  - a FaultPlan (SweepOptions::faults) injects throw / hang /
- *    abort / corrupt-journal / transient faults per cell for
- *    testing all of the above.
+ * Robustness (docs/ROBUSTNESS.md): a durable journal
+ * (journal_dir) records each committed cell, and a restarted sweep
+ * skips journaled cells with byte-identical stable exports; a
+ * watchdog (cell_timeout_s) cancels overrunning attempts through
+ * the cooperative CancelToken; retryable failures re-run up to
+ * cell_retries times with decorrelated-jitter backoff;
+ * SIGINT/SIGTERM (handle_signals) drain: in-flight cells are
+ * cancelled, unclaimed ones labelled, finished ones stay
+ * journaled; a FaultPlan (faults) injects failures for tests.
  *
- * Observability:
- *  - per-cell wall-clock runtime and simulated-instruction
- *    throughput (MIPS) recorded on every SweepCell, plus attempt
- *    counts and cumulative retry backoff;
- *  - sweep-level robustness counters (sweep.retries,
- *    sweep.timeouts, sweep.resumed_cells, ...) via stats();
- *  - an optional live progress line (cells done / total, ETA) on
- *    stderr, gated behind SweepOptions::progress;
- *  - an optional machine-readable JSON export of every cell
- *    (workload, policy, seed, hit rate, MPKI, IPC, runtime,
- *    attempts, error) via SweepOptions::json_path or writeJson().
+ * Observability: per-cell runtime, MIPS, attempts and resources;
+ * sweep.* counters via stats(); an optional progress line, JSON
+ * export, and heartbeat file.
  */
 
 #ifndef RLR_SIM_SWEEP_RUNNER_HH
@@ -113,12 +97,11 @@ struct SweepOptions
     double heartbeat_period_s = 0.5;
 
     /**
-     * Distributed execution (sim/lease.hh): when enabled, cells
-     * are claimed through lease files in the journal directory
-     * instead of statically partitioned, so N worker processes
-     * sharing one journal cooperatively execute the sweep and a
-     * killed worker's cells are re-issued to survivors. Requires
-     * journal_dir.
+     * Distributed execution (sim/lease.hh): the worker loop also
+     * merges cells other processes journaled and claims the rest
+     * through lease files, so N worker processes sharing one
+     * journal_dir run the sweep together and a killed worker's
+     * cells are re-issued to survivors.
      */
     DistOptions dist;
 };
@@ -211,10 +194,6 @@ class SweepRunner
      */
     static std::vector<obs::TraceSpan>
     cellTraceSpans(const std::vector<SweepCell> &cells);
-
-    /** Atomically write chromeTraceJson(cells) to @p path. */
-    static void writeChromeTrace(const std::string &path,
-                                 const std::vector<SweepCell> &cells);
 
   private:
     SimParams params_;

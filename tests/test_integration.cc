@@ -6,6 +6,7 @@
 #include "ml/offline.hh"
 #include "policies/belady.hh"
 #include "sim/experiment.hh"
+#include "sim/sweep_runner.hh"
 #include "tests/policy_test_util.hh"
 #include "trace/workloads.hh"
 #include "util/rng.hh"
@@ -97,9 +98,16 @@ TEST(Integration, SweepInvariantToThreadCount)
     const std::vector<std::string> workloads = {"445.gobmk",
                                                 "416.gamess"};
     const std::vector<std::string> policies = {"LRU", "RLR"};
-    const auto serial = sim::sweep(workloads, policies, quick(), 1);
-    const auto parallel =
-        sim::sweep(workloads, policies, quick(), 4);
+    auto sweep = [&](size_t threads) {
+        sim::SweepOptions opts;
+        opts.threads = threads;
+        const auto cells = sim::SweepRunner(quick(), opts)
+                               .run(workloads, policies);
+        EXPECT_FALSE(sim::SweepRunner::anyFailed(cells));
+        return cells;
+    };
+    const auto serial = sweep(1);
+    const auto parallel = sweep(4);
     ASSERT_EQ(serial.size(), parallel.size());
     for (const auto &w : workloads) {
         for (const auto &p : policies) {

@@ -10,14 +10,21 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <map>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "sim/fault_plan.hh"
 #include "sim/journal.hh"
 #include "sim/sweep_runner.hh"
+#include "util/cancel_token.hh"
 
 using namespace rlr;
 using sim::FaultKind;
@@ -354,6 +361,181 @@ TEST(SweepResume, StableTelemetryZeroesRetryWait)
               std::string::npos)
         << json;
     EXPECT_NE(json.find("\"attempts\": 2,"), std::string::npos);
+}
+
+// ---- one claim table for every worker thread ---------------------
+
+namespace
+{
+
+/** "w0".."w<count-1>" crossed with {LRU, RLR}; cell index by label. */
+struct Grid
+{
+    std::vector<std::string> workloads;
+    std::vector<std::string> policies{"LRU", "RLR"};
+    std::map<std::string, size_t> index;
+
+    explicit Grid(size_t count)
+    {
+        for (size_t w = 0; w < count; ++w)
+            workloads.push_back(std::string("w").append(
+                std::to_string(w)));
+        for (const auto &w : workloads)
+            for (const auto &p : policies)
+                index.emplace(w + ":" + p, index.size());
+    }
+    size_t size() const { return index.size(); }
+    size_t of(const SweepRunner::CellSpec &spec) const
+    {
+        return index.at(spec.workload + ":" + spec.policy);
+    }
+};
+
+} // namespace
+
+TEST(SweepResume, SiblingThreadsNeverMergeOrRerunEachOthersCells)
+{
+    // A lease-claiming sweep in ONE process: its worker threads
+    // share one claim table, so a cell a sibling committed is never
+    // merged back from the journal and never claimed a second time.
+    const std::string dir = tempDir("sibling_claims");
+    const Grid grid(100);
+    SweepOptions opts;
+    opts.threads = 4;
+    opts.journal_dir = dir;
+    opts.dist.enabled = true;
+
+    std::vector<std::atomic<int>> runs(grid.size());
+    SweepRunner runner(sim::SimParams{}, opts);
+    runner.setCellFn([&](const SweepRunner::CellSpec &spec,
+                         const sim::SimParams &p) {
+        runs[grid.of(spec)].fetch_add(1);
+        return fakeRun(spec, p);
+    });
+    const auto cells = runner.run(grid.workloads, grid.policies);
+
+    ASSERT_EQ(cells.size(), grid.size());
+    EXPECT_EQ(runner.stats().value("merged_cells"), 0u);
+    EXPECT_EQ(runner.stats().value("completed_cells"), grid.size());
+    EXPECT_EQ(runner.stats().value("fenced_commits"), 0u);
+    for (const auto &c : cells) {
+        EXPECT_TRUE(c.ok()) << c.workload << "/" << c.policy;
+        EXPECT_EQ(runs[grid.of(SweepRunner::CellSpec{
+                           c.workload, c.policy, {c.workload}})]
+                      .load(),
+                  1)
+            << c.workload << "/" << c.policy;
+    }
+    fs::remove_all(dir);
+}
+
+namespace
+{
+
+/**
+ * Child-process body of the signal-drain tests: cell @p k raises
+ * SIGINT, and every cell at or after k waits for the drain to cancel
+ * it. Exits 0 and prints "drain ok" only when the drain left the
+ * documented state behind; otherwise prints what broke and exits 1.
+ */
+void
+drainedSweep(bool distributed, const std::string &dir)
+{
+    const Grid grid(8);
+    const size_t k = 3;
+    SweepOptions opts;
+    opts.threads = 2;
+    opts.journal_dir = dir;
+    opts.handle_signals = true;
+    opts.dist.enabled = distributed;
+
+    std::vector<std::atomic<int>> runs(grid.size());
+    SweepRunner runner(sim::SimParams{}, opts);
+    runner.setCellFn([&](const SweepRunner::CellSpec &spec,
+                         const sim::SimParams &p) {
+        const size_t i = grid.of(spec);
+        runs[i].fetch_add(1);
+        if (i == k) {
+            // Cells are claimed in order, so every earlier cell is
+            // already claimed; let their bodies start (after which
+            // they commit) before draining.
+            const auto deadline = std::chrono::steady_clock::now() +
+                                  std::chrono::seconds(30);
+            for (size_t j = 0; j < k; ++j) {
+                while (runs[j].load() == 0 &&
+                       std::chrono::steady_clock::now() < deadline) {
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(1));
+                }
+            }
+            std::raise(SIGINT);
+        }
+        if (i >= k) {
+            while (!p.cancel->cancelled()) {
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(1));
+            }
+            throw util::CancelledError(p.cancel->reason());
+        }
+        return fakeRun(spec, p);
+    });
+    const auto cells = runner.run(grid.workloads, grid.policies);
+
+    std::string broken;
+    auto check = [&](bool ok, const std::string &what) {
+        if (!ok)
+            broken += what + "\n";
+    };
+    check(cells.size() == grid.size(), "cell count");
+    check(SweepRunner::interrupted(), "interrupted() is false");
+    check(runner.stats().value("completed_cells") +
+                  runner.stats().value("cancelled_cells") ==
+              grid.size(),
+          "completed + cancelled != n");
+    for (const auto &c : cells) {
+        const std::string label = c.workload + "/" + c.policy;
+        const size_t i = grid.of(
+            SweepRunner::CellSpec{c.workload, c.policy, {}});
+        if (i < k) {
+            // Finished before the drain: committed and journaled.
+            check(c.ok(), label + " failed: " + c.error);
+            check(fs::exists(recordPath(dir, c)),
+                  label + " not journaled");
+        } else {
+            // In flight or never claimed: cancelled, re-run on
+            // resume.
+            check(c.error == "cancelled: signal",
+                  label + " error '" + c.error + "'");
+            check(!fs::exists(recordPath(dir, c)),
+                  label + " journaled");
+        }
+        check(runs[i].load() <= 1, label + " ran twice");
+    }
+    std::fputs(broken.empty() ? "drain ok\n" : broken.c_str(),
+               stderr);
+    std::exit(broken.empty() ? 0 : 1);
+}
+
+} // namespace
+
+TEST(SweepResume, SignalDrainLabelsEveryUnfinishedCell)
+{
+    // The SIGINT flag is process-global and sticky: drain in a
+    // child so later tests in this binary still run.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const std::string dir = tempDir("drain_local");
+    EXPECT_EXIT(drainedSweep(false, dir),
+                ::testing::ExitedWithCode(0), "drain ok");
+    fs::remove_all(dir);
+}
+
+TEST(SweepResume, SignalDrainLabelsEveryUnfinishedCellDistributed)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const std::string dir = tempDir("drain_dist");
+    EXPECT_EXIT(drainedSweep(true, dir),
+                ::testing::ExitedWithCode(0), "drain ok");
+    fs::remove_all(dir);
 }
 
 // ---- FaultPlan grammar ------------------------------------------

@@ -4,6 +4,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -134,20 +135,38 @@ TEST(SweepRunner, ResultsInvariantToThreadCount)
 {
     sim::SimParams params;
     params.seed = 7;
-    auto run_with = [&](size_t threads) {
+    auto run_with = [&](size_t threads, bool distributed) {
         SweepOptions opts;
         opts.threads = threads;
+        opts.stable_telemetry = true;
+        if (distributed) {
+            // Lease claims over a fresh journal.
+            opts.dist.enabled = true;
+            opts.journal_dir = tempJsonPath("invariant_dist");
+            std::filesystem::remove_all(opts.journal_dir);
+        }
         SweepRunner runner(params, opts);
         runner.setCellFn(fakeRun);
-        return runner.run({"w1", "w2", "w3"}, {"LRU", "RLR"});
+        const auto cells =
+            runner.run({"w1", "w2", "w3"}, {"LRU", "RLR"});
+        if (distributed)
+            std::filesystem::remove_all(opts.journal_dir);
+        return cells;
     };
-    const auto serial = run_with(1);
-    const auto parallel = run_with(8);
+    const auto serial = run_with(1, false);
+    const auto parallel = run_with(8, false);
     ASSERT_EQ(serial.size(), parallel.size());
     for (size_t i = 0; i < serial.size(); ++i) {
         EXPECT_EQ(serial[i].seed, parallel[i].seed);
         EXPECT_EQ(serial[i].result.llc_demand_hits,
                   parallel[i].result.llc_demand_hits);
+    }
+    // The lease path exports the same bytes at any thread count.
+    const std::string reference = SweepRunner::toJson(serial);
+    for (const size_t threads : {1, 4}) {
+        EXPECT_EQ(SweepRunner::toJson(run_with(threads, true)),
+                  reference)
+            << threads << " threads";
     }
 }
 

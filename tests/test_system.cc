@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/experiment.hh"
+#include "sim/sweep_runner.hh"
 #include "sim/system.hh"
 #include "trace/workloads.hh"
 
@@ -74,8 +75,12 @@ TEST(Experiment, CaptureLlcTraceMatchesAccessCount)
 
 TEST(Experiment, SweepProducesAllCells)
 {
-    const auto cells = sweep({"416.gamess", "445.gobmk"},
-                             {"LRU", "DRRIP"}, quickParams(), 4);
+    SweepOptions opts;
+    opts.threads = 4;
+    const auto cells = SweepRunner(quickParams(), opts)
+                           .run({"416.gamess", "445.gobmk"},
+                                {"LRU", "DRRIP"});
+    EXPECT_FALSE(SweepRunner::anyFailed(cells));
     EXPECT_EQ(cells.size(), 4u);
     const auto &c = findCell(cells, "445.gobmk", "DRRIP");
     EXPECT_EQ(c.policy, "DRRIP");
