@@ -116,10 +116,6 @@ makeParser(const std::string &description)
                      "Write the sweep schedule as Chrome "
                      "trace_event JSON (chrome://tracing, "
                      "Perfetto) to this path");
-    parser.addOption("inject-fail", "",
-                     "Force sweep cell <workload>:<policy> to "
-                     "throw (shorthand for --faults "
-                     "throw@<workload>:<policy>)");
     parser.addOption("journal", "",
                      "Durable sweep journal directory: completed "
                      "cells are recorded with atomic writes and "
@@ -222,21 +218,12 @@ makeOptions(const util::ArgParser &parser)
     // (finish in-flight cells' cancellation, flush journal and
     // partial exports, exit nonzero).
     opt.sweep.handle_signals = true;
-    {
-        std::string spec = parser.get("faults");
-        const std::string inject = parser.get("inject-fail");
-        if (!inject.empty()) {
-            // Legacy shorthand for throw@<workload>:<policy>.
-            if (!spec.empty())
-                spec += ',';
-            spec += "throw@" + inject;
-        }
-        if (!spec.empty()) {
-            try {
-                opt.sweep.faults = sim::FaultPlan::parse(spec);
-            } catch (const std::exception &e) {
-                util::fatal("{}", e.what());
-            }
+    if (const std::string spec = parser.get("faults");
+        !spec.empty()) {
+        try {
+            opt.sweep.faults = sim::FaultPlan::parse(spec);
+        } catch (const std::exception &e) {
+            util::fatal("{}", e.what());
         }
     }
     opt.csv = parser.getFlag("csv");

@@ -107,10 +107,10 @@ cacheAccessBench(benchmark::State &state, Tracing tracing)
         {1 << 14,
          tracing == Tracing::EventsSampled ? 64u : 1u});
     obs::EpochSampler epoch(10000);
-    if (tracing != Tracing::Off)
-        c.setEventLog(&events);
     if (tracing == Tracing::EventsEpoch)
-        c.setEpochSampler(&epoch);
+        c.setObservers({&events, &epoch});
+    else if (tracing != Tracing::Off)
+        c.setObservers({&events});
 
     util::Rng rng(7);
     uint64_t now = 0;

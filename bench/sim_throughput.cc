@@ -4,8 +4,7 @@
  *
  * For every policy it replays one deterministic synthetic trace
  * through the production cache::Cache (best of --reps timed
- * replays), then once more with the scoped self-profiler armed for
- * the per-phase breakdown, and prints/exports both. The
+ * replays) and prints/exports the throughput and counters. The
  * whole-System benchmark of record is bench/e2e; this one isolates
  * the LLC so per-policy costs can be compared directly
  * (docs/PERFORMANCE.md).
@@ -19,7 +18,6 @@
 
 #include "cache/cache.hh"
 #include "core/policy_factory.hh"
-#include "obs/profiler.hh"
 #include "stats/stats.hh"
 #include "trace/record.hh"
 #include "util/args.hh"
@@ -142,42 +140,6 @@ jsonEscape(const std::string &s)
     return out;
 }
 
-/**
- * Hot-path phase times from one profiled replay (obs scoped
- * profiler, flattened across the call tree).
- * lookup/victim/policy are span totals; fill is the fill span's
- * self time (victim handling is nested inside it); other is the
- * access span's self time; total is the access span's total.
- */
-struct PhaseBreakdown
-{
-    uint64_t lookup_ns = 0;
-    uint64_t victim_ns = 0;
-    uint64_t policy_ns = 0;
-    uint64_t fill_ns = 0;
-    uint64_t other_ns = 0;
-    uint64_t total_ns = 0;
-};
-
-void
-accumulatePhases(const obs::ProfileNode &node, PhaseBreakdown &pb)
-{
-    if (node.name == "sim.llc.lookup")
-        pb.lookup_ns += node.total_ns;
-    else if (node.name == "sim.llc.victim")
-        pb.victim_ns += node.total_ns;
-    else if (node.name == "sim.llc.policy")
-        pb.policy_ns += node.total_ns;
-    else if (node.name == "sim.llc.fill")
-        pb.fill_ns += node.self_ns;
-    else if (node.name == "sim.llc.access") {
-        pb.other_ns += node.self_ns;
-        pb.total_ns += node.total_ns;
-    }
-    for (const auto &c : node.children)
-        accumulatePhases(c, pb);
-}
-
 /** One policy's benchmark row. */
 struct PolicyResult
 {
@@ -188,15 +150,11 @@ struct PolicyResult
     uint64_t misses = 0;
     uint64_t evictions = 0;
     uint64_t bypasses = 0;
-    PhaseBreakdown phases;
 };
 
 /**
  * Benchmark one policy: @p reps timed replays on fresh caches
- * (the fastest is kept; counters are rep-invariant), then one
- * extra untimed replay with the scoped profiler armed for the
- * per-phase breakdown, kept apart so profiling overhead never
- * pollutes the Macc/s number.
+ * (the fastest is kept; counters are rep-invariant).
  */
 PolicyResult
 runPolicy(const std::string &policy, uint64_t seed,
@@ -228,20 +186,6 @@ runPolicy(const std::string &policy, uint64_t seed,
         row.evictions = st.value("evictions");
         row.bypasses = st.value("bypasses");
     }
-
-    obs::Profiler &prof = obs::Profiler::instance();
-    prof.reset();
-    prof.setEnabled(true);
-    {
-        auto c = makeCache(policy, seed, &mem);
-        c->setProfiled(true);
-        replay(*c, trace);
-    }
-    prof.setEnabled(false);
-    const obs::ProfileData data = prof.collect();
-    prof.reset();
-    for (const auto &root : data.roots)
-        accumulatePhases(root, row.phases);
     return row;
 }
 
@@ -252,8 +196,7 @@ main(int argc, char **argv)
 {
     util::ArgParser parser(
         "LLC hot-path throughput benchmark: simulated accesses/sec "
-        "per policy through the production cache, with a profiled "
-        "per-phase breakdown");
+        "per policy through the production cache");
     parser.addOption("policies", "",
                      "Comma-separated policies (default: "
                      "LRU,SRRIP,BRRIP,DRRIP,SHiP,SHiP++,RLR)");
@@ -311,33 +254,10 @@ main(int argc, char **argv)
     std::puts("=== LLC hot-path throughput ===");
     std::fputs((csv ? table.csv() : table.render()).c_str(), stdout);
 
-    util::Table phase_table({"Policy", "lookup ms", "victim ms",
-                             "policy ms", "fill ms", "other ms",
-                             "total ms"});
-    for (const auto &r : results) {
-        auto ms = [](uint64_t ns) {
-            return util::Table::fmt(
-                static_cast<double>(ns) / 1e6, 2);
-        };
-        phase_table.addRow({r.policy, ms(r.phases.lookup_ns),
-                            ms(r.phases.victim_ns),
-                            ms(r.phases.policy_ns),
-                            ms(r.phases.fill_ns),
-                            ms(r.phases.other_ns),
-                            ms(r.phases.total_ns)});
-    }
-    std::puts("\n=== Hot-path phase times (profiled replay) ===");
-    std::fputs((csv ? phase_table.csv() : phase_table.render())
-                   .c_str(),
-               stdout);
-
     if (!json.empty()) {
         FILE *f = std::fopen(json.c_str(), "w");
         if (!f)
             util::fatal("cannot write '{}'", json);
-        auto nsv = [&](uint64_t v) {
-            return static_cast<unsigned long long>(stable ? 0 : v);
-        };
         std::fprintf(f,
                      "{\n  \"benchmark\": \"sim_throughput\",\n"
                      "  \"accesses\": %llu,\n  \"reps\": %u,\n"
@@ -353,19 +273,12 @@ main(int argc, char **argv)
                 f,
                 "    {\"policy\": \"%s\", \"mps\": %.0f, "
                 "\"hits\": %llu, \"misses\": %llu, "
-                "\"evictions\": %llu, \"bypasses\": %llu, "
-                "\"phase_self_ns\": {\"lookup\": %llu, "
-                "\"victim\": %llu, \"policy\": %llu, "
-                "\"fill\": %llu, \"other\": %llu, "
-                "\"total\": %llu}}%s\n",
+                "\"evictions\": %llu, \"bypasses\": %llu}%s\n",
                 jsonEscape(r.policy).c_str(), stable ? 0.0 : r.mps,
                 static_cast<unsigned long long>(r.hits),
                 static_cast<unsigned long long>(r.misses),
                 static_cast<unsigned long long>(r.evictions),
                 static_cast<unsigned long long>(r.bypasses),
-                nsv(r.phases.lookup_ns), nsv(r.phases.victim_ns),
-                nsv(r.phases.policy_ns), nsv(r.phases.fill_ns),
-                nsv(r.phases.other_ns), nsv(r.phases.total_ns),
                 i + 1 < results.size() ? "," : "");
         }
         std::fputs("  ]\n}\n", f);

@@ -18,8 +18,8 @@
 #      a sweep robustness flag, a FaultPlan kind, a sweep.*
 #      counter, or the crash-resume harness is undocumented.
 #   9. docs/PERFORMANCE.md is out of sync: a bench/sim_throughput
-#      flag, the BENCH_sim_throughput.json export, the CI hook, or
-#      the phase breakdown is undocumented.
+#      flag, the BENCH_sim_throughput.json export, or the CI hook
+#      is undocumented.
 #
 # Pure grep/sed over the sources: runs without a compiler, so it
 # can gate doc-only changes too. Run from the repository root.
@@ -166,8 +166,8 @@ done
 
 # --- 9. the LLC throughput benchmark is documented -----------------
 # Every bench/sim_throughput CLI flag must appear in
-# docs/PERFORMANCE.md, along with the JSON export's name, the CI
-# hook that writes it, and the phase breakdown field.
+# docs/PERFORMANCE.md, along with the JSON export's name and the
+# CI hook that writes it.
 st_flags=$(grep -o 'add\(Option\|Flag\)("[a-z-]*"' \
                bench/sim_throughput.cc | sed 's/.*("//; s/"//')
 [ -n "$st_flags" ] ||
@@ -177,8 +177,7 @@ for f in $st_flags; do
         err "sim_throughput flag '--$f' is not documented in" \
             "docs/PERFORMANCE.md"
 done
-for needle in BENCH_sim_throughput.json scripts/ci.sh \
-              phase_self_ns; do
+for needle in BENCH_sim_throughput.json scripts/ci.sh; do
     grep -q "$needle" docs/PERFORMANCE.md ||
         err "'$needle' is not documented in docs/PERFORMANCE.md"
 done

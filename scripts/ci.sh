@@ -13,10 +13,10 @@
 #
 # The release stage additionally runs the LLC hot-path throughput
 # benchmark (bench/sim_throughput) and exports its per-policy
-# accesses/sec and profiled per-phase breakdown to
-# BENCH_sim_throughput.json (docs/PERFORMANCE.md; the whole-System
-# trajectory is bench/e2e), and exports a self-profile of the
-# tier-1 sweep path to PROF_tier1.json (docs/OBSERVABILITY.md).
+# accesses/sec and counters to BENCH_sim_throughput.json
+# (docs/PERFORMANCE.md; the whole-System trajectory is bench/e2e),
+# and exports a self-profile of the tier-1 sweep path to
+# PROF_tier1.json (docs/OBSERVABILITY.md).
 # Set RLR_STABLE_BENCH=1 to zero the wall-clock fields so
 # same-seed runs are byte-identical.
 #

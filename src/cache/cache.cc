@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "obs/epoch.hh"
-#include "obs/event_log.hh"
 #include "obs/profiler.hh"
 #include "util/logging.hh"
 
@@ -20,17 +18,6 @@ std::string
 typeKey(trace::AccessType type, const char *suffix)
 {
     return std::string(trace::accessTypeName(type)) + "_" + suffix;
-}
-
-trace::LlcAccess
-toLlcAccess(const MemRequest &req)
-{
-    trace::LlcAccess rec;
-    rec.pc = req.pc;
-    rec.address = req.address;
-    rec.type = req.type;
-    rec.cpu = req.cpu;
-    return rec;
 }
 
 bool
@@ -86,22 +73,16 @@ Cache::setPrefetcher(std::unique_ptr<Prefetcher> prefetcher)
 }
 
 void
-Cache::setEventLog(obs::EventLog *log)
+Cache::setObservers(std::vector<CacheObserver *> observers)
 {
-    events_ = log;
-    if (events_)
-        events_->bind(geom_.numSets(), geom_.ways);
-}
-
-void
-Cache::setEpochSampler(obs::EpochSampler *sampler)
-{
-    epoch_ = sampler;
-    if (epoch_) {
-        epoch_->bind(geom_.numSets());
-        epoch_->setOccupancyProvider(
-            [this] { return validLines(); });
-    }
+    observers_ = std::move(observers);
+    const LineCounter valid_lines{
+        [](const void *c) {
+            return static_cast<const Cache *>(c)->validLines();
+        },
+        this};
+    for (CacheObserver *o : observers_)
+        o->attach(geom_, valid_lines);
 }
 
 uint32_t
@@ -175,20 +156,7 @@ Cache::access(const MemRequest &req, uint64_t now)
     const uint64_t tag = geom_.tag(line);
     const uint32_t set = geom_.setIndex(line);
 
-    if (sink_) {
-        trace::LlcAccess rec;
-        rec.pc = req.pc;
-        rec.address = req.address;
-        rec.type = req.type;
-        rec.cpu = req.cpu;
-        sink_(rec);
-    }
-
-    uint32_t hit_way;
-    {
-        RLR_PROF_SCOPE_IF(profiled_, "sim.llc.lookup");
-        hit_way = lookup(set, tag);
-    }
+    const uint32_t hit_way = lookup(set, tag);
     const bool demand = trace::isDemand(req.type);
 
     if (hit_way != kNoWay) {
@@ -203,24 +171,22 @@ Cache::access(const MemRequest &req, uint64_t now)
         if (merged) {
             // The line is still in flight: this access merges into
             // the outstanding MSHR and completes with it.
-            countAccess(req.type, false);
+            countAccess(set, req, false);
             ++*mshr_merges_;
-            if (epoch_)
-                epoch_->onAccess(set, req.type, false);
-            if (events_)
-                events_->onMiss(set);
             if (demand)
                 runPrefetcher(req, false, now);
+            if (verify_)
+                runVerify(set);
             return std::max(now, ready_at_[i]);
         }
-        countAccess(req.type, true);
-        if (epoch_)
-            epoch_->onAccess(set, req.type, true);
-        if (events_) {
+        countAccess(set, req, true);
+        if (!observers_.empty()) {
             // Pre-update priority: the standing the line had when
             // it was hit (e.g. its RRPV before promotion).
-            events_->onHit(set, hit_way, toLlcAccess(req),
-                           policy_->victimPriority(set, hit_way));
+            const uint64_t prio =
+                policy_->victimPriority(set, hit_way);
+            for (CacheObserver *o : observers_)
+                o->onHit(set, hit_way, req, prio);
         }
         AccessContext ctx;
         ctx.cpu = req.cpu;
@@ -230,10 +196,7 @@ Cache::access(const MemRequest &req, uint64_t now)
         ctx.pc = req.pc;
         ctx.type = req.type;
         ctx.hit = true;
-        {
-            RLR_PROF_SCOPE_IF(profiled_, "sim.llc.policy");
-            policy_->onAccess(ctx);
-        }
+        policy_->onAccess(ctx);
         if (demand)
             runPrefetcher(req, true, now);
         if (verify_)
@@ -242,11 +205,7 @@ Cache::access(const MemRequest &req, uint64_t now)
     }
 
     // Miss.
-    countAccess(req.type, false);
-    if (epoch_)
-        epoch_->onAccess(set, req.type, false);
-    if (events_)
-        events_->onMiss(set);
+    countAccess(set, req, false);
 
     if (req.type == trace::AccessType::Writeback) {
         // Write-allocate on writeback: the entire line is being
@@ -279,12 +238,7 @@ Cache::access(const MemRequest &req, uint64_t now)
                  req.type == trace::AccessType::Rfo);
     } else {
         ++*pf_fills_skipped_;
-        if (epoch_)
-            epoch_->onBypass();
-        if (events_) {
-            events_->onBypass(set, toLlcAccess(req),
-                              BypassReason::LowConfidencePrefetch);
-        }
+        notifyBypass(set, req, BypassReason::LowConfidencePrefetch);
     }
 
     if (demand)
@@ -297,7 +251,6 @@ Cache::access(const MemRequest &req, uint64_t now)
 bool
 Cache::fill(const MemRequest &req, uint64_t ready, bool dirty)
 {
-    RLR_PROF_SCOPE_IF(profiled_, "sim.llc.fill");
     const uint64_t line = CacheGeometry::lineAddress(req.address);
     const uint32_t set = geom_.setIndex(line);
     const size_t base = static_cast<size_t>(set) * geom_.ways;
@@ -311,7 +264,6 @@ Cache::fill(const MemRequest &req, uint64_t ready, bool dirty)
     }
 
     if (way == geom_.ways) {
-        RLR_PROF_SCOPE_IF(profiled_, "sim.llc.victim");
         for (uint32_t w = 0; w < geom_.ways; ++w) {
             view_scratch_[w] =
                 BlockView{valid_[base + w] != 0,
@@ -332,12 +284,7 @@ Cache::fill(const MemRequest &req, uint64_t ready, bool dirty)
         if (way == ReplacementPolicy::kBypass) {
             if (req.type != trace::AccessType::Writeback) {
                 ++*bypasses_;
-                if (epoch_)
-                    epoch_->onBypass();
-                if (events_) {
-                    events_->onBypass(set, toLlcAccess(req),
-                                      policy_->bypassReason());
-                }
+                notifyBypass(set, req, policy_->bypassReason());
                 return false;
             }
             // The policy wanted to bypass a writeback. Dirty data
@@ -358,17 +305,13 @@ Cache::fill(const MemRequest &req, uint64_t ready, bool dirty)
         if (valid_[vi]) {
             const BlockView victim{valid_[vi] != 0, dirty_[vi] != 0,
                                    prefetch_[vi] != 0, addr_[vi]};
-            if (events_ || epoch_) {
+            if (!observers_.empty()) {
                 // Before onEviction, while the policy's victim
                 // metadata is still live.
                 const uint64_t prio =
                     policy_->victimPriority(set, way);
-                if (events_) {
-                    events_->onEviction(set, way, victim.address,
-                                        toLlcAccess(req), prio);
-                }
-                if (epoch_)
-                    epoch_->onEviction(prio);
+                for (CacheObserver *o : observers_)
+                    o->onEviction(set, way, victim.address, req, prio);
             }
             policy_->onEviction(set, way, victim);
             ++*evictions_;
@@ -401,10 +344,11 @@ Cache::fill(const MemRequest &req, uint64_t ready, bool dirty)
     ctx.type = req.type;
     ctx.hit = false;
     policy_->onAccess(ctx);
-    if (events_) {
+    if (!observers_.empty()) {
         // Post-insertion priority (e.g. the inserted RRPV).
-        events_->onFill(set, way, toLlcAccess(req),
-                        policy_->victimPriority(set, way));
+        const uint64_t prio = policy_->victimPriority(set, way);
+        for (CacheObserver *o : observers_)
+            o->onFill(set, way, req, prio);
     }
     return true;
 }
@@ -471,20 +415,16 @@ Cache::describeStats(stats::Registry &reg,
     policy_->describeStats(reg, prefix + ".policy");
     if (prefetcher_)
         prefetcher_->describeStats(reg, prefix + ".prefetcher");
-    if (events_)
-        events_->describeStats(reg, prefix + ".events");
-    if (epoch_)
-        epoch_->describeStats(reg, prefix + ".epoch");
+    for (CacheObserver *o : observers_)
+        o->describeStats(reg, prefix);
 }
 
 void
 Cache::resetStats()
 {
     stats_.reset();
-    if (events_)
-        events_->reset();
-    if (epoch_)
-        epoch_->reset();
+    for (CacheObserver *o : observers_)
+        o->reset();
 }
 
 void

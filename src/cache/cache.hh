@@ -4,9 +4,10 @@
  * with pluggable replacement policy and prefetcher.
  *
  * There is one access path for every replacement policy: policy
- * calls are plain virtual calls and each observability hook sits
- * behind a null check on its borrowed observer. Compiling the
- * body per policy type or per observer state measures at parity
+ * calls are plain virtual calls and every observability hook is a
+ * loop over the attached CacheObserver list (cache/observer.hh),
+ * skipped by one emptiness check when none is attached. Compiling
+ * the body per policy type or per observer state measures at parity
  * with this single body on whole-System runs, so the single body
  * is the design (docs/ARCHITECTURE.md). Per-set metadata is
  * stored as struct-of-arrays lanes so tag lookups and victim
@@ -16,28 +17,19 @@
 #ifndef RLR_CACHE_CACHE_HH
 #define RLR_CACHE_CACHE_HH
 
-#include <functional>
 #include <memory>
 #include <queue>
 #include <vector>
 
 #include "cache/geometry.hh"
 #include "cache/memory_interface.hh"
+#include "cache/observer.hh"
 #include "cache/prefetcher.hh"
 #include "cache/replacement.hh"
 #include "stats/stats.hh"
 
-namespace rlr::obs
-{
-class EventLog;
-class EpochSampler;
-} // namespace rlr::obs
-
 namespace rlr::cache
 {
-
-/** Callback invoked for every access to this cache (trace capture). */
-using AccessSink = std::function<void(const trace::LlcAccess &)>;
 
 /**
  * One cache level.
@@ -69,44 +61,31 @@ class Cache : public MemoryLevel
      */
     void setWritesOnRfo(bool v) { writes_on_rfo_ = v; }
 
-    /** Install an access-capture sink (e.g. LLC trace recording). */
-    void setAccessSink(AccessSink sink) { sink_ = std::move(sink); }
-
     /**
-     * Attach a decision-level event log (borrowed; null detaches).
-     * The log is bound to this cache's geometry and driven at
-     * every hit / miss / fill / eviction / bypass. When detached
-     * (the default) each hook site costs one predicted null check.
+     * Attach @p observers (borrowed; they outlive this cache or
+     * are detached first), replacing any attached before; an empty
+     * list detaches. Each is bound to this cache's geometry and
+     * driven, in list order, at every access / hit / fill /
+     * eviction / bypass, on reset and on describeStats.
      */
-    void setEventLog(obs::EventLog *log);
-    obs::EventLog *eventLog() { return events_; }
-
-    /**
-     * Attach an epoch time-series sampler (borrowed; null
-     * detaches). The sampler is bound to this cache's set count
-     * and given a valid-line occupancy provider.
-     */
-    void setEpochSampler(obs::EpochSampler *sampler);
-    obs::EpochSampler *epochSampler() { return epoch_; }
+    void setObservers(std::vector<CacheObserver *> observers);
 
     /**
      * Arm (or disarm) per-access invariant checking: after every
-     * access the replacement policy's verifyInvariants hook runs on
-     * the touched set and the per-type access counters are checked
-     * for hit+miss == accesses consistency; violations throw
-     * std::logic_error. Defaults to the RLR_VERIFY environment
-     * variable (set and not "0"). Debug/fuzzing aid — adds O(ways)
-     * work per access.
+     * access, merged in-flight accesses included, the replacement
+     * policy's verifyInvariants hook runs on the touched set and
+     * the per-type access counters are checked for hit+miss ==
+     * accesses consistency; violations throw std::logic_error.
+     * Defaults to the RLR_VERIFY environment variable (set and not
+     * "0"). Debug/fuzzing aid — adds O(ways) work per access.
      */
     void setVerifyInvariants(bool v) { verify_ = v; }
     bool verifyingInvariants() const { return verify_; }
 
     /**
-     * Opt this cache into the scoped-span self-profiler
-     * (obs/profiler.hh). Off by default; sim::System enables it
-     * for the LLC only, so the sampled `sim.llc.*` spans cover
-     * the level the replacement-policy work actually runs at
-     * while L1/L2 stay uninstrumented (enabled-overhead budget).
+     * Opt this cache into the sampled `sim.llc.access` span of the
+     * scoped self-profiler (obs/profiler.hh). Off by default;
+     * sim::System enables it for the LLC only.
      */
     void setProfiled(bool v) { profiled_ = v; }
     bool profiled() const { return profiled_; }
@@ -204,24 +183,34 @@ class Cache : public MemoryLevel
     void runPrefetcher(const MemRequest &req, bool hit,
                        uint64_t now);
 
-    /** Bump the cached per-type access counters. */
+    /** Bump the cached per-type access counters and tell the
+     *  observers about the access. */
     void
-    countAccess(trace::AccessType type, bool hit)
+    countAccess(uint32_t set, const MemRequest &req, bool hit)
     {
-        const auto i = static_cast<size_t>(type);
+        const auto i = static_cast<size_t>(req.type);
         ++*type_access_[i];
         ++*(hit ? type_hit_ : type_miss_)[i];
+        for (CacheObserver *o : observers_)
+            o->onAccess(set, req, hit);
+    }
+
+    /** Tell the observers about a skipped fill. */
+    void
+    notifyBypass(uint32_t set, const MemRequest &req,
+                 BypassReason reason)
+    {
+        for (CacheObserver *o : observers_)
+            o->onBypass(set, req, reason);
     }
 
     CacheGeometry geom_;
     std::unique_ptr<ReplacementPolicy> policy_;
     MemoryLevel *next_;
     std::unique_ptr<Prefetcher> prefetcher_;
-    AccessSink sink_;
-    /** Borrowed observability hooks; null = disabled (every hook
-     *  site is skipped by its null check). */
-    obs::EventLog *events_ = nullptr;
-    obs::EpochSampler *epoch_ = nullptr;
+    /** Borrowed observers; empty = detached (every hook site is
+     *  skipped by its emptiness check). */
+    std::vector<CacheObserver *> observers_;
     bool writes_on_rfo_ = false;
     float pf_fill_threshold_ = 0.0f;
     /** Invariant checking armed (RLR_VERIFY / fuzz harness). */

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/profiler.hh"
 #include "util/logging.hh"
 
 namespace rlr::mem
@@ -18,7 +17,6 @@ Dram::Dram(DramConfig config, std::string name)
 uint64_t
 Dram::access(const cache::MemRequest &req, uint64_t now)
 {
-    RLR_PROF_SCOPE("sim.dram.access");
     const uint64_t row = req.address / config_.row_bytes;
     Bank &bank = banks_[row % config_.banks];
 

@@ -11,10 +11,12 @@ EpochSampler::EpochSampler(uint64_t length) : length_(length)
 }
 
 void
-EpochSampler::bind(uint32_t num_sets)
+EpochSampler::attach(const cache::CacheGeometry &geom,
+                     cache::LineCounter valid_lines)
 {
-    heat_accesses_ = util::Histogram(num_sets, 1);
-    heat_misses_ = util::Histogram(num_sets, 1);
+    heat_accesses_ = util::Histogram(geom.numSets(), 1);
+    heat_misses_ = util::Histogram(geom.numSets(), 1);
+    occupancy_ = valid_lines;
     reset();
 }
 
@@ -26,9 +28,10 @@ EpochSampler::setScalarProvider(std::string name, Provider p)
 }
 
 void
-EpochSampler::onAccess(uint32_t set, trace::AccessType type,
+EpochSampler::onAccess(uint32_t set, const cache::MemRequest &req,
                        bool hit)
 {
+    const trace::AccessType type = req.type;
     ++total_accesses_;
     ++cur_.accesses;
     heat_accesses_.sample(set);
@@ -45,15 +48,17 @@ EpochSampler::onAccess(uint32_t set, trace::AccessType type,
 }
 
 void
-EpochSampler::onEviction(uint64_t victim_priority)
+EpochSampler::onEviction(uint32_t, uint32_t, uint64_t,
+                         const cache::MemRequest &, uint64_t priority)
 {
     ++cur_.evictions;
-    cur_.victim_priority_sum += victim_priority;
-    victim_priority_.sample(victim_priority);
+    cur_.victim_priority_sum += priority;
+    victim_priority_.sample(priority);
 }
 
 void
-EpochSampler::onBypass()
+EpochSampler::onBypass(uint32_t, const cache::MemRequest &,
+                       cache::BypassReason)
 {
     ++cur_.bypasses;
 }
@@ -63,7 +68,7 @@ EpochSampler::closeEpoch()
 {
     if (cur_.empty())
         return;
-    cur_.occupancy = occupancy_ ? occupancy_() : 0;
+    cur_.occupancy = occupancy_();
     cur_.scalar = scalar_ ? scalar_() : 0;
 
     const std::string e = "e" + std::to_string(epochs_) + "_";
@@ -103,8 +108,9 @@ EpochSampler::reset()
 
 void
 EpochSampler::describeStats(stats::Registry &reg,
-                            const std::string &prefix)
+                            const std::string &cache_prefix)
 {
+    const std::string prefix = cache_prefix + ".epoch";
     // The registry snapshot is taken at end of run; flushing here
     // makes the final partial epoch part of the exported series.
     finish();

@@ -12,8 +12,9 @@
  * access/miss heatmap counters (registered as distributions with
  * one bucket per set) and a victim-priority distribution.
  *
- * Like the event log, the sampler is borrowed by a cache and costs
- * only a null-pointer check per access when detached.
+ * Like the event log, the sampler is a cache::CacheObserver
+ * borrowed by a cache and costs only an empty-list check per access
+ * when detached.
  */
 
 #ifndef RLR_OBS_EPOCH_HH
@@ -24,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "cache/observer.hh"
 #include "stats/registry.hh"
 #include "stats/stats.hh"
 #include "trace/record.hh"
@@ -51,7 +53,7 @@ struct EpochSample
 };
 
 /** Epoch time-series sampler for one cache. */
-class EpochSampler
+class EpochSampler final : public cache::CacheObserver
 {
   public:
     /** Pull-style provider sampled at every epoch boundary. */
@@ -60,15 +62,12 @@ class EpochSampler
     /** @param length epoch length in cache accesses (>= 1) */
     explicit EpochSampler(uint64_t length);
 
-    /** Size the heatmap counters; called once by the cache. */
-    void bind(uint32_t num_sets);
-
-    /** Occupancy provider (valid-line count), sampled at epoch
-     *  boundaries and at finish(). */
-    void setOccupancyProvider(Provider p)
-    {
-        occupancy_ = std::move(p);
-    }
+    /**
+     * Size the heatmap counters to @p geom; @p valid_lines becomes
+     * the occupancy sampled at epoch boundaries and at finish().
+     */
+    void attach(const cache::CacheGeometry &geom,
+                cache::LineCounter valid_lines) override;
 
     /**
      * Optional policy scalar tracked per epoch (e.g. RLR's
@@ -78,13 +77,18 @@ class EpochSampler
     void setScalarProvider(std::string name, Provider p);
 
     /** One access to @p set (hit or miss, any type). */
-    void onAccess(uint32_t set, trace::AccessType type, bool hit);
+    void onAccess(uint32_t set, const cache::MemRequest &req,
+                  bool hit) override;
 
     /** One eviction with the victim's policy priority. */
-    void onEviction(uint64_t victim_priority);
+    void onEviction(uint32_t set, uint32_t way,
+                    uint64_t victim_address,
+                    const cache::MemRequest &incoming,
+                    uint64_t priority) override;
 
     /** One bypassed fill. */
-    void onBypass();
+    void onBypass(uint32_t set, const cache::MemRequest &req,
+                  cache::BypassReason reason) override;
 
     /**
      * Close the current partial epoch (if any) so it appears in
@@ -94,7 +98,7 @@ class EpochSampler
     void finish();
 
     /** Drop all epochs and counters (end of warmup). */
-    void reset();
+    void reset() override;
 
     uint64_t epochLength() const { return length_; }
     /** Completed epochs (incl. a finished partial tail). */
@@ -104,17 +108,16 @@ class EpochSampler
     const EpochSample &current() const { return cur_; }
 
     /**
-     * Mount the series under @p prefix: "<prefix>.length",
-     * "<prefix>.count", per-epoch counters
-     * "<prefix>.e<k>_{accesses,misses,demand_accesses,
-     * demand_misses,evictions,bypasses,victim_priority_sum,
-     * occupancy[,<scalar>]}", the whole-run victim-priority
-     * distribution "<prefix>.victim_priority", and the per-set
-     * heatmap distributions "<prefix>.set_accesses" /
-     * "<prefix>.set_misses" (bucket i = set i).
+     * Mount the series under "<prefix>.epoch" (written <e> below):
+     * "<e>.length", "<e>.count", per-epoch counters
+     * "<e>.e<k>_{accesses,misses,demand_accesses,demand_misses,
+     * evictions,bypasses,victim_priority_sum,occupancy[,<scalar>]}",
+     * the whole-run victim-priority distribution
+     * "<e>.victim_priority", and the per-set heatmap distributions
+     * "<e>.set_accesses" / "<e>.set_misses" (bucket i = set i).
      */
     void describeStats(stats::Registry &reg,
-                       const std::string &prefix);
+                       const std::string &prefix) override;
 
   private:
     void closeEpoch();
@@ -124,7 +127,7 @@ class EpochSampler
     uint64_t epochs_ = 0;
     EpochSample cur_;
 
-    Provider occupancy_;
+    cache::LineCounter occupancy_;
     std::string scalar_name_;
     Provider scalar_;
 

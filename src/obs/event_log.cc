@@ -40,10 +40,11 @@ EventLog::EventLog(EventLogConfig config) : config_(config)
 }
 
 void
-EventLog::bind(uint32_t num_sets, uint32_t ways)
+EventLog::attach(const cache::CacheGeometry &geom,
+                 cache::LineCounter)
 {
-    num_sets_ = num_sets;
-    ways_ = ways;
+    num_sets_ = geom.numSets();
+    ways_ = geom.ways;
     reset();
 }
 
@@ -83,16 +84,23 @@ EventLog::push(const Event &ev)
 }
 
 void
-EventLog::onHit(uint32_t set, uint32_t way,
-                const trace::LlcAccess &access, uint64_t priority)
+EventLog::onAccess(uint32_t set, const cache::MemRequest &, bool hit)
 {
     ++access_no_;
-    const uint64_t set_no = ++set_accesses_[set];
+    ++set_accesses_[set];
+    if (!hit)
+        ++set_misses_[set];
+}
+
+void
+EventLog::onHit(uint32_t set, uint32_t way,
+                const cache::MemRequest &req, uint64_t priority)
+{
     LineShadow &sh = shadow(set, way);
     sh.valid = true;
     ++sh.hits;
-    sh.last_touch = set_no;
-    sh.last_type = access.type;
+    sh.last_touch = set_accesses_[set];
+    sh.last_type = req.type;
 
     if (!sampled(set)) {
         ++sampled_out_;
@@ -100,34 +108,26 @@ EventLog::onHit(uint32_t set, uint32_t way,
     }
     Event ev;
     ev.access_no = access_no_;
-    ev.address = cache::CacheGeometry::lineAddress(access.address);
-    ev.pc = access.pc;
+    ev.address = cache::CacheGeometry::lineAddress(req.address);
+    ev.pc = req.pc;
     ev.priority = priority;
     ev.set = set;
     ev.way = static_cast<uint8_t>(way);
-    ev.cpu = access.cpu;
+    ev.cpu = req.cpu;
     ev.kind = EventKind::Hit;
-    ev.type = access.type;
+    ev.type = req.type;
     push(ev);
 }
 
 void
-EventLog::onMiss(uint32_t set)
-{
-    ++access_no_;
-    ++set_accesses_[set];
-    ++set_misses_[set];
-}
-
-void
 EventLog::onFill(uint32_t set, uint32_t way,
-                 const trace::LlcAccess &access, uint64_t priority)
+                 const cache::MemRequest &req, uint64_t priority)
 {
     LineShadow &sh = shadow(set, way);
     sh.valid = true;
     sh.hits = 0;
     sh.last_touch = set_accesses_[set];
-    sh.last_type = access.type;
+    sh.last_type = req.type;
 
     if (!sampled(set)) {
         ++sampled_out_;
@@ -135,21 +135,21 @@ EventLog::onFill(uint32_t set, uint32_t way,
     }
     Event ev;
     ev.access_no = access_no_;
-    ev.address = cache::CacheGeometry::lineAddress(access.address);
-    ev.pc = access.pc;
+    ev.address = cache::CacheGeometry::lineAddress(req.address);
+    ev.pc = req.pc;
     ev.priority = priority;
     ev.set = set;
     ev.way = static_cast<uint8_t>(way);
-    ev.cpu = access.cpu;
+    ev.cpu = req.cpu;
     ev.kind = EventKind::Fill;
-    ev.type = access.type;
+    ev.type = req.type;
     push(ev);
 }
 
 void
 EventLog::onEviction(uint32_t set, uint32_t way,
                      uint64_t victim_address,
-                     const trace::LlcAccess &incoming,
+                     const cache::MemRequest &incoming,
                      uint64_t priority)
 {
     const LineShadow &victim = shadow(set, way);
@@ -186,7 +186,7 @@ EventLog::onEviction(uint32_t set, uint32_t way,
 }
 
 void
-EventLog::onBypass(uint32_t set, const trace::LlcAccess &access,
+EventLog::onBypass(uint32_t set, const cache::MemRequest &req,
                    cache::BypassReason reason)
 {
     if (!sampled(set)) {
@@ -195,12 +195,12 @@ EventLog::onBypass(uint32_t set, const trace::LlcAccess &access,
     }
     Event ev;
     ev.access_no = access_no_;
-    ev.address = cache::CacheGeometry::lineAddress(access.address);
-    ev.pc = access.pc;
+    ev.address = cache::CacheGeometry::lineAddress(req.address);
+    ev.pc = req.pc;
     ev.set = set;
-    ev.cpu = access.cpu;
+    ev.cpu = req.cpu;
     ev.kind = EventKind::Bypass;
-    ev.type = access.type;
+    ev.type = req.type;
     ev.reason = reason;
     push(ev);
 }
@@ -231,8 +231,9 @@ EventLog::data() const
 
 void
 EventLog::describeStats(stats::Registry &reg,
-                        const std::string &prefix)
+                        const std::string &cache_prefix)
 {
+    const std::string prefix = cache_prefix + ".events";
     reg.bindCounter(
         prefix + ".recorded", [this] { return recorded_; },
         "decision events pushed into the ring buffer");

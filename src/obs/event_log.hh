@@ -8,9 +8,10 @@
  * feature statistics — but taken from the *production* simulator
  * instead of the offline python-equivalent pipeline.
  *
- * Cost model: the log is attached to a cache as a borrowed
- * pointer; when detached the hot path pays only a null-pointer
- * check per decision point (docs/OBSERVABILITY.md § Cost). When
+ * Cost model: the log is a cache::CacheObserver, attached to a
+ * cache through Cache::setObservers; when detached the hot path
+ * pays one empty-list check per decision point
+ * (docs/OBSERVABILITY.md § Cost). When
  * attached, recording can be thinned to 1-in-N sets
  * (EventLogConfig::sample_sets); metadata shadows are still
  * maintained for every set so sampled events carry exact ages. A full ring overwrites the oldest events and counts them
@@ -24,7 +25,7 @@
 #include <string>
 #include <vector>
 
-#include "cache/replacement.hh"
+#include "cache/observer.hh"
 #include "stats/registry.hh"
 #include "trace/record.hh"
 
@@ -122,30 +123,33 @@ struct EventLogData
 };
 
 /**
- * The live event log. A cache drives it through the on*() hooks;
- * the cache owns the decision of *when* to call (only while a log
- * is attached), the log owns sampling, metadata shadows, and the
- * ring itself.
+ * The live event log. A cache drives it through the
+ * cache::CacheObserver hooks; the cache owns the decision of
+ * *when* to call (only while the log is attached), the log owns
+ * sampling, metadata shadows, and the ring itself.
  */
-class EventLog
+class EventLog final : public cache::CacheObserver
 {
   public:
     explicit EventLog(EventLogConfig config = {});
 
-    /** Size the per-set/per-line shadows; called once by the
-     *  attaching cache. */
-    void bind(uint32_t num_sets, uint32_t ways);
+    /** Size the per-set/per-line shadows to @p geom. */
+    void attach(const cache::CacheGeometry &geom,
+                cache::LineCounter valid_lines) override;
 
-    /** A lookup hit way in set. */
+    /** Count one access to @p set (hits and misses alike). */
+    void onAccess(uint32_t set, const cache::MemRequest &req,
+                  bool hit) override;
+
+    /** A lookup hit (set, way), after its onAccess(). */
     void onHit(uint32_t set, uint32_t way,
-               const trace::LlcAccess &access, uint64_t priority);
-
-    /** A miss was counted for set (before any fill/bypass). */
-    void onMiss(uint32_t set);
+               const cache::MemRequest &req,
+               uint64_t priority) override;
 
     /** A line was installed into (set, way). */
     void onFill(uint32_t set, uint32_t way,
-                const trace::LlcAccess &access, uint64_t priority);
+                const cache::MemRequest &req,
+                uint64_t priority) override;
 
     /**
      * A valid line is about to be evicted from (set, way); must be
@@ -154,15 +158,15 @@ class EventLog
      */
     void onEviction(uint32_t set, uint32_t way,
                     uint64_t victim_address,
-                    const trace::LlcAccess &incoming,
-                    uint64_t priority);
+                    const cache::MemRequest &incoming,
+                    uint64_t priority) override;
 
-    /** The fill of @p access into @p set was skipped. */
-    void onBypass(uint32_t set, const trace::LlcAccess &access,
-                  cache::BypassReason reason);
+    /** The fill of @p req into @p set was skipped. */
+    void onBypass(uint32_t set, const cache::MemRequest &req,
+                  cache::BypassReason reason) override;
 
     /** Drop all events, counters, and shadow state. */
-    void reset();
+    void reset() override;
 
     const EventLogConfig &config() const { return config_; }
     uint64_t recorded() const { return recorded_; }
@@ -174,9 +178,9 @@ class EventLog
     /** Freeze into plain data (events oldest-first). */
     EventLogData data() const;
 
-    /** Mount the log's counters under @p prefix. */
+    /** Mount the log's counters under "<prefix>.events". */
     void describeStats(stats::Registry &reg,
-                       const std::string &prefix);
+                       const std::string &prefix) override;
 
   private:
     /** Per-line shadow metadata, maintained for every set. */

@@ -206,9 +206,6 @@ class ProfScope
 #define RLR_PROF_SCOPE_SAMPLED(name_literal, shift)                 \
     const ::rlr::obs::ProfScope RLR_PROF_CONCAT(                    \
         rlr_prof_scope_, __COUNTER__)(name_literal, (shift))
-#define RLR_PROF_SCOPE_IF(gate, name_literal)                       \
-    const ::rlr::obs::ProfScope RLR_PROF_CONCAT(                    \
-        rlr_prof_scope_, __COUNTER__)((gate), name_literal)
 #define RLR_PROF_SCOPE_IF_SAMPLED(gate, name_literal, shift)        \
     const ::rlr::obs::ProfScope RLR_PROF_CONCAT(                    \
         rlr_prof_scope_, __COUNTER__)((gate), name_literal, (shift))
@@ -216,7 +213,6 @@ class ProfScope
 #define RLR_PROF_SCOPE(name_literal) static_cast<void>(0)
 #define RLR_PROF_SCOPE_SAMPLED(name_literal, shift)                 \
     static_cast<void>(0)
-#define RLR_PROF_SCOPE_IF(gate, name_literal) static_cast<void>(0)
 #define RLR_PROF_SCOPE_IF_SAMPLED(gate, name_literal, shift)        \
     static_cast<void>(0)
 #endif

@@ -3,9 +3,9 @@
  * Declarative fault injection for sweep robustness testing.
  *
  * A FaultPlan is parsed from a `--faults` spec and consulted by
- * the SweepRunner for every cell. It generalizes the original
- * `--inject-fail <workload>:<policy>` hook into a small taxonomy
- * (docs/ROBUSTNESS.md):
+ * the SweepRunner for every cell. Its faults form a small taxonomy
+ * (docs/ROBUSTNESS.md); `throw@<workload>:<policy>` forces one
+ * cell to fail:
  *
  *   throw            cell throws a non-retryable error
  *   transient[:N]    cell throws a RETRYABLE error on its first N

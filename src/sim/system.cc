@@ -28,26 +28,23 @@ System::System(const SystemConfig &config) : config_(config)
         llc_geom,
         core::makePolicy(config_.llc_policy, config_.policy_seed),
         dram_.get());
-    // Only the LLC carries self-profiler spans: it is where the
-    // replacement-policy work runs, and keeping L1/L2 bare holds
-    // the enabled overhead inside the ctest budget.
+    // Only the LLC carries the sampled self-profiler span: it is
+    // where the replacement-policy work runs.
     llc_->setProfiled(true);
-    if (config_.capture_llc_trace) {
-        llc_->setAccessSink([this](const trace::LlcAccess &a) {
-            llc_trace_.append(a);
-        });
-    }
+    std::vector<cache::CacheObserver *> llc_observers;
+    if (config_.capture_llc_trace)
+        llc_observers.push_back(&llc_capture_);
     if (config_.llc_events_capacity > 0) {
         obs::EventLogConfig ev_cfg;
         ev_cfg.capacity = config_.llc_events_capacity;
         ev_cfg.sample_sets = config_.llc_events_sample_sets;
         llc_events_ = std::make_unique<obs::EventLog>(ev_cfg);
-        llc_->setEventLog(llc_events_.get());
+        llc_observers.push_back(llc_events_.get());
     }
     if (config_.llc_epoch_length > 0) {
         llc_epoch_ = std::make_unique<obs::EpochSampler>(
             config_.llc_epoch_length);
-        llc_->setEpochSampler(llc_epoch_.get());
+        llc_observers.push_back(llc_epoch_.get());
         // RLR exposes its predicted reuse distance as the tracked
         // per-epoch policy scalar (paper Section IV's rd_).
         if (auto *rlr =
@@ -56,6 +53,7 @@ System::System(const SystemConfig &config) : config_(config)
                 "rd", [rlr] { return rlr->reuseDistance(); });
         }
     }
+    llc_->setObservers(std::move(llc_observers));
 
     for (uint32_t i = 0; i < config_.num_cores; ++i) {
         cache::CacheGeometry l2_geom;
@@ -169,7 +167,6 @@ System::resetStats()
         l1d_[i]->resetStats();
         cores_[i]->beginMeasurement();
     }
-    llc_trace_.clear();
 }
 
 } // namespace rlr::sim

@@ -98,7 +98,10 @@ class System
     const SystemConfig &config() const { return config_; }
 
     /** Captured LLC trace (capture_llc_trace only). */
-    const trace::LlcTrace &llcTrace() const { return llc_trace_; }
+    const trace::LlcTrace &llcTrace() const
+    {
+        return llc_capture_.trace();
+    }
 
     /** LLC event log (null unless llc_events_capacity > 0). */
     obs::EventLog *llcEventLog() { return llc_events_.get(); }
@@ -131,7 +134,8 @@ class System
     std::vector<std::unique_ptr<cpu::O3Core>> cores_;
     std::unique_ptr<obs::EventLog> llc_events_;
     std::unique_ptr<obs::EpochSampler> llc_epoch_;
-    trace::LlcTrace llc_trace_;
+    /** Attached to the LLC only under capture_llc_trace. */
+    cache::TraceCapture llc_capture_;
 };
 
 } // namespace rlr::sim

@@ -21,16 +21,18 @@ namespace rlr::verify
 namespace
 {
 
-/** Zero-latency memory endpoint: keeps the timing model inert so a
- *  differential replay is purely a replacement-behaviour trace. */
+/** Fixed-latency memory endpoint. At the default zero latency it
+ *  keeps the timing model inert, so a differential replay is
+ *  purely a replacement-behaviour trace. */
 class NullMemory : public cache::MemoryLevel
 {
   public:
+    explicit NullMemory(uint64_t latency = 0) : latency_(latency) {}
+
     uint64_t
-    access(const cache::MemRequest &req, uint64_t now) override
+    access(const cache::MemRequest &, uint64_t now) override
     {
-        (void)req;
-        return now;
+        return now + latency_;
     }
 
     const std::string &
@@ -39,6 +41,9 @@ class NullMemory : public cache::MemoryLevel
         static const std::string n = "null";
         return n;
     }
+
+  private:
+    uint64_t latency_;
 };
 
 cache::CacheGeometry
@@ -477,8 +482,11 @@ observerEquivalenceError(const DiffSpec &spec)
     // makeProductionPolicy) so the oracle covers the whole zoo,
     // including policies with no reference model (SHiP++,
     // Hawkeye, ...).
-    NullMemory observed_mem;
-    NullMemory detached_mem;
+    // Misses outlast the one-cycle gap between accesses, so a line
+    // re-touched while its fill is in flight merges into the miss
+    // and the merged path is observed too.
+    NullMemory observed_mem(64);
+    NullMemory detached_mem(64);
     cache::Cache observed(specGeometry(spec),
                           core::makePolicy(spec.policy, spec.seed),
                           &observed_mem);
@@ -487,14 +495,16 @@ observerEquivalenceError(const DiffSpec &spec)
                           &detached_mem);
     obs::EventLog log;
     obs::EpochSampler epoch(64);
-    observed.setEventLog(&log);
-    observed.setEpochSampler(&epoch);
+    cache::TraceCapture capture;
+    observed.setObservers({&log, &epoch, &capture});
 
+    size_t last_flush = 0;
     for (size_t i = 0; i < accesses.size(); ++i) {
         if (spec.flush_period > 0 && i > 0 &&
             i % spec.flush_period == 0) {
             observed.flush();
             detached.flush();
+            last_flush = i;
         }
         const trace::LlcAccess &a = accesses[i];
         cache::MemRequest req;
@@ -538,6 +548,14 @@ observerEquivalenceError(const DiffSpec &spec)
     // vacuous.
     if (log.recorded() == 0)
         return util::format("{}: event log recorded nothing",
+                            spec.policy);
+    // The capture holds exactly the accesses since the last flush.
+    const std::vector<trace::LlcAccess> since_flush(
+        accesses.begin() + static_cast<long>(last_flush),
+        accesses.end());
+    if (capture.trace().accesses() != since_flush)
+        return util::format("{}: trace capture diverges from the "
+                            "access stream",
                             spec.policy);
 
     const auto observed_stats = observed.statSet().items();

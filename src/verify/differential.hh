@@ -173,12 +173,14 @@ DiffResult runDifferential(const DiffSpec &spec,
 /**
  * Observation oracle: replay the spec's fuzz trace through two
  * production caches built from the same spec — one with an
- * obs::EventLog and an obs::EpochSampler attached, one with
- * nothing attached — and require byte-identical behaviour:
- * per-access completion times, per-set resident contents after
- * every access, and the full final counter sets. Observation must
- * never change simulation. The policy is resolved through the
- * factory, so any core::knownPolicies() name works.
+ * obs::EventLog, an obs::EpochSampler and a cache::TraceCapture
+ * attached, one with nothing attached — and require
+ * byte-identical behaviour: per-access completion times, per-set
+ * resident contents after every access, and the full final
+ * counter sets. The capture must hold exactly the accesses since
+ * the last flush. Observation must never change simulation. The
+ * policy is resolved through the factory, so any
+ * core::knownPolicies() name works.
  * @return "" when equivalent, else a description of the first
  *         divergence
  */

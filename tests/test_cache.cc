@@ -75,6 +75,78 @@ class WbBypassPolicy : public ReplacementPolicy
     StorageOverhead overhead() const override { return {}; }
 };
 
+/** Stub policy that counts its verifyInvariants calls. */
+class VerifyCountingPolicy : public ReplacementPolicy
+{
+  public:
+    void bind(const CacheGeometry &) override {}
+    uint32_t
+    findVictim(const AccessContext &,
+               std::span<const BlockView>) override
+    {
+        return 0;
+    }
+    void onAccess(const AccessContext &) override {}
+    void
+    verifyInvariants(uint32_t,
+                     std::span<const BlockView>) const override
+    {
+        ++calls;
+    }
+    std::string name() const override { return "verify-counting"; }
+    StorageOverhead overhead() const override { return {}; }
+
+    mutable uint64_t calls = 0;
+};
+
+/** Observer that logs every hook as one line of text. */
+class RecordingObserver : public CacheObserver
+{
+  public:
+    void
+    attach(const CacheGeometry &geom, LineCounter valid_lines) override
+    {
+        log.push_back("attach " + std::to_string(geom.numSets()) +
+                      " " + std::to_string(valid_lines()));
+        lines = valid_lines;
+    }
+    void
+    onAccess(uint32_t set, const MemRequest &req, bool hit) override
+    {
+        log.push_back("access " + std::to_string(set) + " " +
+                      std::to_string(req.address) +
+                      (hit ? " hit" : " miss"));
+    }
+    void
+    onHit(uint32_t, uint32_t way, const MemRequest &,
+          uint64_t) override
+    {
+        log.push_back("hit " + std::to_string(way));
+    }
+    void
+    onFill(uint32_t, uint32_t way, const MemRequest &,
+           uint64_t) override
+    {
+        log.push_back("fill " + std::to_string(way));
+    }
+    void
+    onEviction(uint32_t, uint32_t way, uint64_t victim,
+               const MemRequest &, uint64_t) override
+    {
+        log.push_back("evict " + std::to_string(way) + " " +
+                      std::to_string(victim));
+    }
+    void
+    onBypass(uint32_t, const MemRequest &, BypassReason) override
+    {
+        log.push_back("bypass");
+    }
+    void reset() override { log.push_back("reset"); }
+
+    std::vector<std::string> log;
+    LineCounter lines;
+};
+
 CacheGeometry
 smallGeometry()
 {
@@ -246,21 +318,68 @@ TEST(Cache, PrefetchFlagClearedOnDemandHit)
     EXPECT_FALSE(pf_flag);
 }
 
-TEST(Cache, AccessSinkCapturesEverything)
+TEST(Cache, TraceCaptureRecordsEveryAccess)
 {
     FakeMemory mem;
     Cache c(smallGeometry(), std::make_unique<policies::LruPolicy>(),
             &mem);
-    std::vector<trace::LlcAccess> captured;
-    c.setAccessSink([&](const trace::LlcAccess &a) {
-        captured.push_back(a);
-    });
+    TraceCapture capture;
+    c.setObservers({&capture});
     c.access(load(0x1000, 0xabc), 0);
-    c.access(load(0x1000, 0xdef), 100);
-    ASSERT_EQ(captured.size(), 2u);
-    EXPECT_EQ(captured[0].pc, 0xabcu);
-    EXPECT_EQ(captured[1].pc, 0xdefu);
-    EXPECT_EQ(captured[0].address, 0x1000u);
+    c.access(load(0x1000, 0xdef), 5); // merges into the miss
+    c.access(load(0x1000, 0x123), 1000);
+    ASSERT_EQ(capture.trace().size(), 3u);
+    EXPECT_EQ(capture.trace()[0].pc, 0xabcu);
+    EXPECT_EQ(capture.trace()[1].pc, 0xdefu);
+    EXPECT_EQ(capture.trace()[2].pc, 0x123u);
+    EXPECT_EQ(capture.trace()[0].address, 0x1000u);
+
+    // End of warmup drops the captured prefix.
+    c.resetStats();
+    EXPECT_TRUE(capture.trace().empty());
+}
+
+TEST(Cache, ObserversSeeEveryDecisionInOrder)
+{
+    FakeMemory mem;
+    Cache c(smallGeometry(), std::make_unique<policies::LruPolicy>(),
+            &mem);
+    RecordingObserver first, second;
+    c.setObservers({&first, &second});
+    // 16 sets: lines 0x0, 0x400, ... share set 0.
+    c.access(load(0x0), 0);        // miss + fill
+    c.access(load(0x0), 1000);     // hit
+    for (uint64_t i = 1; i <= 4; ++i)
+        c.access(load(i * 0x400), 1000 * (i + 1)); // 4th evicts 0x0
+    EXPECT_EQ(first.lines(), 4u); // set 0 full, every other set empty
+
+    const std::vector<std::string> expected = {
+        "attach 16 0",       "access 0 0 miss",    "fill 0",
+        "access 0 0 hit",    "hit 0",              "access 0 1024 miss",
+        "fill 1",            "access 0 2048 miss", "fill 2",
+        "access 0 3072 miss", "fill 3",            "access 0 4096 miss",
+        "evict 0 0",         "fill 0"};
+    EXPECT_EQ(first.log, expected);
+    EXPECT_EQ(second.log, expected);
+
+    // An empty list detaches every observer.
+    c.setObservers({});
+    c.access(load(0x0), 10000);
+    c.resetStats();
+    EXPECT_EQ(first.log, expected);
+}
+
+TEST(Cache, VerifyRunsOnMergedAccess)
+{
+    FakeMemory mem(100);
+    auto policy = std::make_unique<VerifyCountingPolicy>();
+    const VerifyCountingPolicy *counting = policy.get();
+    Cache c(smallGeometry(), std::move(policy), &mem);
+    c.setVerifyInvariants(true);
+    c.access(load(0x1000), 0); // miss, data ready at 110
+    c.access(load(0x1000), 5); // merges into the in-flight miss
+    EXPECT_EQ(c.statSet().value("mshr_merges"), 1u);
+    EXPECT_EQ(counting->calls, 2u);
 }
 
 TEST(Cache, DemandCountersAggregate)

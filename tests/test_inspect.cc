@@ -59,25 +59,42 @@ class FlatMemory : public cache::MemoryLevel
     std::string name_ = "flat";
 };
 
+cache::MemRequest
+request(uint64_t pc, uint64_t address, trace::AccessType type,
+        uint8_t cpu)
+{
+    cache::MemRequest r;
+    r.pc = pc;
+    r.address = address;
+    r.type = type;
+    r.cpu = cpu;
+    return r;
+}
+
 /** A small log with every event kind for round-trip tests. */
 obs::CellEvents
 sampleCell()
 {
     obs::EventLog log({8, 1});
-    log.bind(2, 2);
-    log.onMiss(0);
-    log.onFill(0, 0, {0x400, 0x1000, trace::AccessType::Load, 1},
-               3);
-    log.onHit(0, 0, {0x404, 0x1010, trace::AccessType::Rfo, 1}, 2);
-    log.onMiss(0);
-    log.onFill(0, 1, {0x408, 0x2000, trace::AccessType::Prefetch,
-                      0}, 1);
-    log.onMiss(0);
-    log.onEviction(0, 0, 0x1000,
-                   {0x40c, 0x3000, trace::AccessType::Load, 0}, 9);
-    log.onFill(0, 0, {0x40c, 0x3000, trace::AccessType::Load, 0},
-               0);
-    log.onBypass(1, {0x410, 0x4040, trace::AccessType::Load, 0},
+    cache::CacheGeometry geom;
+    geom.size_bytes = 2 * 2 * cache::kLineBytes; // 2 sets x 2 ways
+    geom.ways = 2;
+    log.attach(geom, {});
+    using trace::AccessType;
+    const auto fill_a = request(0x400, 0x1000, AccessType::Load, 1);
+    const auto hit_a = request(0x404, 0x1010, AccessType::Rfo, 1);
+    const auto fill_b = request(0x408, 0x2000, AccessType::Prefetch, 0);
+    const auto fill_c = request(0x40c, 0x3000, AccessType::Load, 0);
+    log.onAccess(0, fill_a, false);
+    log.onFill(0, 0, fill_a, 3);
+    log.onAccess(0, hit_a, true);
+    log.onHit(0, 0, hit_a, 2);
+    log.onAccess(0, fill_b, false);
+    log.onFill(0, 1, fill_b, 1);
+    log.onAccess(0, fill_c, false);
+    log.onEviction(0, 0, 0x1000, fill_c, 9);
+    log.onFill(0, 0, fill_c, 0);
+    log.onBypass(1, request(0x410, 0x4040, AccessType::Load, 0),
                  cache::BypassReason::AgeProtected);
 
     obs::CellEvents cell;
@@ -260,7 +277,7 @@ TEST(Inspect, CrossValidationAgainstOfflinePipeline)
     cache::Cache c(geom, std::make_unique<policies::LruPolicy>(),
                    &mem);
     obs::EventLog log({1 << 16, 1});
-    c.setEventLog(&log);
+    c.setObservers({&log});
     uint64_t now = 0;
     for (size_t i = 0; i < llc_trace.size(); ++i) {
         cache::MemRequest req;

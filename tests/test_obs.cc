@@ -22,15 +22,42 @@ using namespace rlr::obs;
 namespace
 {
 
-trace::LlcAccess
+/** A demand load of @p addr. */
+cache::MemRequest
 ld(uint64_t addr, uint64_t pc = 0x400)
 {
-    trace::LlcAccess a;
-    a.pc = pc;
-    a.address = addr;
-    a.type = trace::AccessType::Load;
-    a.cpu = 0;
-    return a;
+    cache::MemRequest r;
+    r.pc = pc;
+    r.address = addr;
+    r.type = trace::AccessType::Load;
+    return r;
+}
+
+cache::MemRequest
+ofType(trace::AccessType type)
+{
+    cache::MemRequest r;
+    r.type = type;
+    return r;
+}
+
+/** Shape with @p sets sets of @p ways ways (observer attach). */
+cache::CacheGeometry
+geom(uint32_t sets, uint32_t ways)
+{
+    cache::CacheGeometry g;
+    g.size_bytes = uint64_t{sets} * ways * cache::kLineBytes;
+    g.ways = ways;
+    return g;
+}
+
+/** A hit as the cache reports it: the access, then the hit. */
+void
+hit(EventLog &log, uint32_t set, uint32_t way,
+    const cache::MemRequest &req, uint64_t priority)
+{
+    log.onAccess(set, req, true);
+    log.onHit(set, way, req, priority);
 }
 
 /** Fixed-latency backing memory. */
@@ -84,24 +111,14 @@ tinyGeom()
     return g;
 }
 
-cache::MemRequest
-loadReq(uint64_t addr, uint64_t pc = 0x400)
-{
-    cache::MemRequest r;
-    r.address = addr;
-    r.pc = pc;
-    r.type = trace::AccessType::Load;
-    return r;
-}
-
 } // namespace
 
 TEST(EventLog, RingWraparoundKeepsNewest)
 {
     EventLog log({/*capacity=*/4, /*sample_sets=*/1});
-    log.bind(1, 4);
+    log.attach(geom(1, 4), {});
     for (int i = 0; i < 10; ++i)
-        log.onHit(0, 0, ld(0x1000), 0);
+        hit(log, 0, 0, ld(0x1000), 0);
 
     EXPECT_EQ(log.recorded(), 10u);
     EXPECT_EQ(log.overwritten(), 6u);
@@ -118,10 +135,10 @@ TEST(EventLog, RingWraparoundKeepsNewest)
 TEST(EventLog, BelowCapacityKeepsEverything)
 {
     EventLog log({8, 1});
-    log.bind(1, 2);
-    log.onMiss(0);
+    log.attach(geom(1, 2), {});
+    log.onAccess(0, ld(0), false);
     log.onFill(0, 0, ld(0x40), 3);
-    log.onHit(0, 0, ld(0x40), 5);
+    hit(log, 0, 0, ld(0x40), 5);
 
     EXPECT_EQ(log.recorded(), 2u); // misses alone are not events
     EXPECT_EQ(log.overwritten(), 0u);
@@ -136,9 +153,9 @@ TEST(EventLog, BelowCapacityKeepsEverything)
 TEST(EventLog, SetSamplingRecordsOneInN)
 {
     EventLog log({64, /*sample_sets=*/2});
-    log.bind(4, 2);
+    log.attach(geom(4, 2), {});
     for (uint32_t set = 0; set < 4; ++set) {
-        log.onMiss(set);
+        log.onAccess(set, ld(0), false);
         log.onFill(set, 0, ld(set * 64ull), 0);
     }
 
@@ -157,22 +174,22 @@ TEST(EventLog, SetSamplingRecordsOneInN)
 TEST(EventLog, VictimMetadataExact)
 {
     EventLog log({16, 1});
-    log.bind(1, 2);
+    log.attach(geom(1, 2), {});
 
     // acc 1: fill A into way 0.
-    log.onMiss(0);
+    log.onAccess(0, ld(0), false);
     log.onFill(0, 0, ld(0x1000), 0);
     // acc 2: fill B into way 1.
-    log.onMiss(0);
+    log.onAccess(0, ld(0), false);
     log.onFill(0, 1, ld(0x2000), 0);
     // acc 3: hit A.
-    log.onHit(0, 0, ld(0x1040, 0x999), 0);
+    hit(log, 0, 0, ld(0x1040, 0x999), 0);
     // acc 4: miss C evicts B (the LRU line).
-    log.onMiss(0);
+    log.onAccess(0, ld(0), false);
     log.onEviction(0, 1, 0x2000, ld(0x3000), 7);
     log.onFill(0, 1, ld(0x3000), 0);
     // acc 5: miss D evicts A (way 0), now the LRU line.
-    log.onMiss(0);
+    log.onAccess(0, ld(0), false);
     log.onEviction(0, 0, 0x1000, ld(0x4000), 9);
     log.onFill(0, 0, ld(0x4000), 0);
 
@@ -205,15 +222,15 @@ TEST(EventLog, VictimMetadataExact)
 TEST(EventLog, MruVictimGetsTopRecency)
 {
     EventLog log({16, 1});
-    log.bind(1, 3);
-    log.onMiss(0);
+    log.attach(geom(1, 3), {});
+    log.onAccess(0, ld(0), false);
     log.onFill(0, 0, ld(0x1000), 0); // acc 1
-    log.onMiss(0);
+    log.onAccess(0, ld(0), false);
     log.onFill(0, 1, ld(0x2000), 0); // acc 2
-    log.onMiss(0);
+    log.onAccess(0, ld(0), false);
     log.onFill(0, 2, ld(0x3000), 0); // acc 3
     // Evict the most recently touched line (way 2).
-    log.onMiss(0);
+    log.onAccess(0, ld(0), false);
     log.onEviction(0, 2, 0x3000, ld(0x4000), 0);
 
     const EventLogData d = log.data();
@@ -226,9 +243,9 @@ TEST(EventLog, MruVictimGetsTopRecency)
 TEST(EventLog, ResetClearsEverything)
 {
     EventLog log({4, 1});
-    log.bind(2, 2);
+    log.attach(geom(2, 2), {});
     for (int i = 0; i < 6; ++i) {
-        log.onMiss(0);
+        log.onAccess(0, ld(0), false);
         log.onFill(0, 0, ld(0x40), 0);
     }
     ASSERT_GT(log.recorded(), 0u);
@@ -248,19 +265,19 @@ TEST(EventLog, CacheIntegrationLruOverflow)
     cache::Cache c(tinyGeom(),
                    std::make_unique<policies::LruPolicy>(), &mem);
     EventLog log({1024, 1});
-    c.setEventLog(&log);
+    c.setObservers({&log});
 
     // 12 distinct lines in set 0 (stride = numSets * 64), spaced
     // far apart so no MSHR merges occur: 4 plain fills, then 8
     // eviction+fill pairs.
     uint64_t now = 0;
     for (uint64_t i = 0; i < 12; ++i) {
-        c.access(loadReq(i * 4 * 64), now);
+        c.access(ld(i * 4 * 64), now);
         now += 10000;
     }
     // Re-touch the 4 resident lines: 4 hits.
     for (uint64_t i = 8; i < 12; ++i) {
-        c.access(loadReq(i * 4 * 64), now);
+        c.access(ld(i * 4 * 64), now);
         now += 10000;
     }
 
@@ -294,8 +311,8 @@ TEST(EventLog, CacheIntegrationLruOverflow)
 
     // Detach: further accesses record nothing.
     const uint64_t before = log.recorded();
-    c.setEventLog(nullptr);
-    c.access(loadReq(99 * 4 * 64), now);
+    c.setObservers({});
+    c.access(ld(99 * 4 * 64), now);
     EXPECT_EQ(log.recorded(), before);
 }
 
@@ -306,14 +323,13 @@ TEST(EventLog, CacheBypassReasonFromPolicy)
                    &mem);
     EventLog log({64, 1});
     EpochSampler epoch(1000);
-    c.setEventLog(&log);
-    c.setEpochSampler(&epoch);
+    c.setObservers({&log, &epoch});
 
     // Fill set 0's four ways (invalid-way fills need no victim),
     // then one more distinct line: the policy bypasses it.
     uint64_t now = 0;
     for (uint64_t i = 0; i < 5; ++i) {
-        c.access(loadReq(i * 4 * 64), now);
+        c.access(ld(i * 4 * 64), now);
         now += 10000;
     }
 
@@ -329,11 +345,11 @@ TEST(EventLog, CacheBypassReasonFromPolicy)
 TEST(EventLog, DescribeStatsExportsCounters)
 {
     EventLog log({2, 1});
-    log.bind(1, 1);
+    log.attach(geom(1, 1), {});
     stats::Registry reg;
-    log.describeStats(reg, "llc.events");
+    log.describeStats(reg, "llc");
     for (int i = 0; i < 3; ++i) {
-        log.onMiss(0);
+        log.onAccess(0, ld(0), false);
         log.onFill(0, 0, ld(0x40), 0);
     }
     EXPECT_EQ(reg.counterValue("llc.events.recorded"), 3u);
@@ -344,9 +360,9 @@ TEST(EventLog, DescribeStatsExportsCounters)
 TEST(Epoch, ClosesAtBoundaryAndFlushesTail)
 {
     EpochSampler s(4);
-    s.bind(1);
+    s.attach(geom(1, 1), {});
     for (int i = 0; i < 10; ++i)
-        s.onAccess(0, trace::AccessType::Load, i % 2 == 0);
+        s.onAccess(0, ofType(trace::AccessType::Load), i % 2 == 0);
     EXPECT_EQ(s.epochs(), 2u);
     EXPECT_EQ(s.current().accesses, 2u);
     s.finish();
@@ -359,12 +375,12 @@ TEST(Epoch, ClosesAtBoundaryAndFlushesTail)
 TEST(Epoch, LongerThanRunYieldsOnePartialEpoch)
 {
     EpochSampler s(1000);
-    s.bind(1);
+    s.attach(geom(1, 1), {});
     for (int i = 0; i < 5; ++i)
-        s.onAccess(0, trace::AccessType::Load, false);
+        s.onAccess(0, ofType(trace::AccessType::Load), false);
 
     stats::Registry reg;
-    s.describeStats(reg, "llc.epoch"); // auto-finishes the tail
+    s.describeStats(reg, "llc"); // auto-finishes the tail
     EXPECT_EQ(s.epochs(), 1u);
     EXPECT_EQ(reg.counterValue("llc.epoch.count"), 1u);
     EXPECT_EQ(reg.counterValue("llc.epoch.length"), 1000u);
@@ -375,9 +391,9 @@ TEST(Epoch, LongerThanRunYieldsOnePartialEpoch)
 TEST(Epoch, ExactMultipleLeavesNoEmptyTail)
 {
     EpochSampler s(5);
-    s.bind(1);
+    s.attach(geom(1, 1), {});
     for (int i = 0; i < 10; ++i)
-        s.onAccess(0, trace::AccessType::Load, true);
+        s.onAccess(0, ofType(trace::AccessType::Load), true);
     s.finish();
     EXPECT_EQ(s.epochs(), 2u);
 }
@@ -385,52 +401,55 @@ TEST(Epoch, ExactMultipleLeavesNoEmptyTail)
 TEST(Epoch, ProvidersSampledAtBoundaries)
 {
     EpochSampler s(2);
-    s.bind(1);
     uint64_t occupancy = 0, rd = 0;
-    s.setOccupancyProvider([&] { return occupancy; });
+    s.attach(geom(1, 1),
+             {[](const void *p) {
+                  return *static_cast<const uint64_t *>(p);
+              },
+              &occupancy});
     s.setScalarProvider("rd", [&] { return rd; });
 
     occupancy = 11;
     rd = 3;
-    s.onAccess(0, trace::AccessType::Load, false);
-    s.onAccess(0, trace::AccessType::Load, false); // closes e0
+    s.onAccess(0, ofType(trace::AccessType::Load), false);
+    s.onAccess(0, ofType(trace::AccessType::Load), false); // closes e0
     occupancy = 22;
     rd = 5;
-    s.onAccess(0, trace::AccessType::Prefetch, true);
+    s.onAccess(0, ofType(trace::AccessType::Prefetch), true);
 
     stats::Registry reg;
     s.describeStats(reg, "ep");
-    EXPECT_EQ(reg.counterValue("ep.e0_occupancy"), 11u);
-    EXPECT_EQ(reg.counterValue("ep.e0_rd"), 3u);
-    EXPECT_EQ(reg.counterValue("ep.e1_occupancy"), 22u);
-    EXPECT_EQ(reg.counterValue("ep.e1_rd"), 5u);
+    EXPECT_EQ(reg.counterValue("ep.epoch.e0_occupancy"), 11u);
+    EXPECT_EQ(reg.counterValue("ep.epoch.e0_rd"), 3u);
+    EXPECT_EQ(reg.counterValue("ep.epoch.e1_occupancy"), 22u);
+    EXPECT_EQ(reg.counterValue("ep.epoch.e1_rd"), 5u);
     // Demand/non-demand split.
-    EXPECT_EQ(reg.counterValue("ep.e0_demand_accesses"), 2u);
-    EXPECT_EQ(reg.counterValue("ep.e1_demand_accesses"), 0u);
+    EXPECT_EQ(reg.counterValue("ep.epoch.e0_demand_accesses"), 2u);
+    EXPECT_EQ(reg.counterValue("ep.epoch.e1_demand_accesses"), 0u);
 }
 
 TEST(Epoch, EvictionAndHeatmapAccounting)
 {
     EpochSampler s(100);
-    s.bind(4);
-    s.onAccess(2, trace::AccessType::Load, false);
-    s.onAccess(2, trace::AccessType::Load, true);
-    s.onAccess(3, trace::AccessType::Load, false);
-    s.onEviction(6);
-    s.onEviction(10);
+    s.attach(geom(4, 1), {});
+    s.onAccess(2, ofType(trace::AccessType::Load), false);
+    s.onAccess(2, ofType(trace::AccessType::Load), true);
+    s.onAccess(3, ofType(trace::AccessType::Load), false);
+    s.onEviction(0, 0, 0, ld(0), 6);
+    s.onEviction(0, 0, 0, ld(0), 10);
 
     stats::Registry reg;
     s.describeStats(reg, "ep");
-    EXPECT_EQ(reg.counterValue("ep.e0_evictions"), 2u);
-    EXPECT_EQ(reg.counterValue("ep.e0_victim_priority_sum"), 16u);
+    EXPECT_EQ(reg.counterValue("ep.epoch.e0_evictions"), 2u);
+    EXPECT_EQ(reg.counterValue("ep.epoch.e0_victim_priority_sum"), 16u);
 
     const stats::Snapshot snap = reg.snapshot();
-    const auto *heat = snap.histogram("ep.set_accesses");
+    const auto *heat = snap.histogram("ep.epoch.set_accesses");
     ASSERT_NE(heat, nullptr);
     ASSERT_EQ(heat->buckets.size(), 4u);
     EXPECT_EQ(heat->buckets[2], 2u);
     EXPECT_EQ(heat->buckets[3], 1u);
-    const auto *miss = snap.histogram("ep.set_misses");
+    const auto *miss = snap.histogram("ep.epoch.set_misses");
     ASSERT_NE(miss, nullptr);
     EXPECT_EQ(miss->buckets[2], 1u);
     EXPECT_EQ(miss->buckets[3], 1u);
@@ -439,16 +458,16 @@ TEST(Epoch, EvictionAndHeatmapAccounting)
 TEST(Epoch, ResetClearsSeries)
 {
     EpochSampler s(2);
-    s.bind(1);
+    s.attach(geom(1, 1), {});
     for (int i = 0; i < 6; ++i)
-        s.onAccess(0, trace::AccessType::Load, false);
+        s.onAccess(0, ofType(trace::AccessType::Load), false);
     ASSERT_EQ(s.epochs(), 3u);
     s.reset();
     EXPECT_EQ(s.epochs(), 0u);
     EXPECT_EQ(s.current().accesses, 0u);
     stats::Registry reg;
     s.describeStats(reg, "ep");
-    EXPECT_EQ(reg.counterValue("ep.count"), 0u);
+    EXPECT_EQ(reg.counterValue("ep.epoch.count"), 0u);
 }
 
 TEST(Epoch, RejectsZeroLength)

@@ -2,8 +2,8 @@
  * @file
  * Unit tests for the scoped-span self-profiler (obs/profiler.hh):
  * tree shape and merge determinism across threads, sampling
- * scale-up, stable-JSON zeroing, JSON round-trip, and the folded-
- * stacks rendering.
+ * scale-up, stable-JSON zeroing, JSON round-trip, the folded-
+ * stacks rendering, and the span set a simulation records.
  *
  * The profiler is a process-wide singleton, so every test resets
  * it on entry and disables it on exit.
@@ -17,6 +17,7 @@
 
 #include "obs/chrome_trace.hh"
 #include "obs/profiler.hh"
+#include "sim/experiment.hh"
 
 using namespace rlr;
 
@@ -58,6 +59,20 @@ findChild(const std::vector<obs::ProfileNode> &nodes,
     for (const auto &n : nodes)
         if (n.name == name)
             return &n;
+    return nullptr;
+}
+
+/** @return the first node named @p name at any depth. */
+const obs::ProfileNode *
+findAnywhere(const std::vector<obs::ProfileNode> &nodes,
+             const std::string &name)
+{
+    for (const auto &n : nodes) {
+        if (n.name == name)
+            return &n;
+        if (const auto *c = findAnywhere(n.children, name))
+            return c;
+    }
     return nullptr;
 }
 
@@ -249,4 +264,25 @@ TEST(Profiler, ResetClearsCounts)
     EXPECT_EQ(data.spans, 0u);
     EXPECT_TRUE(data.roots.empty());
     EXPECT_TRUE(data.recent.empty());
+}
+
+TEST(Profiler, SimulationTimesLlcAccessesWithoutPerPhaseSpans)
+{
+    ProfilerFixture fix;
+    sim::SimParams params;
+    params.warmup_instructions = 20000;
+    params.sim_instructions = 50000;
+    sim::runWorkloads({"470.lbm"}, params);
+    const obs::ProfileData data =
+        obs::Profiler::instance().collect();
+
+    // One sampled span per LLC access, with nothing nested in it:
+    // per-phase and per-DRAM-access spans would mostly time
+    // themselves.
+    const obs::ProfileNode *llc =
+        findAnywhere(data.roots, "sim.llc.access");
+    ASSERT_NE(llc, nullptr);
+    EXPECT_GT(llc->recorded_calls, 0u);
+    EXPECT_TRUE(llc->children.empty());
+    EXPECT_EQ(findAnywhere(data.roots, "sim.dram.access"), nullptr);
 }

@@ -235,10 +235,11 @@ zooSpec(const std::string &policy, uint64_t seed)
 } // namespace
 
 /**
- * For every factory policy, a cache with an EventLog and an
- * EpochSampler attached and a cache with nothing attached must
- * agree on per-access completion times, per-set contents after
- * every access, and the full final counter set.
+ * For every factory policy, a cache with an EventLog, an
+ * EpochSampler and a TraceCapture attached and a cache with
+ * nothing attached must agree on per-access completion times,
+ * per-set contents after every access, and the full final counter
+ * set; the capture must equal the access stream.
  */
 TEST(ObserverEquivalence, ObservedAndDetachedCachesAgree)
 {
