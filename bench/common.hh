@@ -18,7 +18,6 @@
 #include "obs/chrome_trace.hh"
 #include "obs/events_io.hh"
 #include "obs/profiler.hh"
-#include "sim/dist_runner.hh"
 #include "sim/experiment.hh"
 #include "sim/sweep_runner.hh"
 #include "stats/stats.hh"
@@ -58,13 +57,6 @@ struct BenchOptions
     /** --profile: self-profile JSON export path (enables the
      *  scoped profiler for the whole run). */
     std::string profile;
-
-    /** --workers: worker processes to spawn in supervisor mode
-     *  (0 = single-process execution). */
-    uint32_t workers = 0;
-    /** --join: this process is a spawned (or manually joined)
-     *  distributed-sweep worker. */
-    bool join = false;
 
     /** RL-specific scaling. */
     uint64_t rl_instructions = 300'000;
@@ -133,25 +125,7 @@ makeParser(const std::string &description)
                      "Fault-injection plan: comma list of "
                      "kind[:N]@<index|workload:policy> or "
                      "kind%rate; kinds: throw, transient, hang, "
-                     "abort, corrupt-journal, kill-worker, "
-                     "stall-worker");
-    parser.addOption("workers", "0",
-                     "Spawn N worker processes that cooperatively "
-                     "execute the sweeps over the shared --journal "
-                     "via cell leases, then merge the journal into "
-                     "the exports (docs/ROBUSTNESS.md)");
-    parser.addOption("worker-id", "0",
-                     "This worker's id inside a distributed sweep "
-                     "(with --join; set by --workers when "
-                     "spawning)");
-    parser.addFlag("join",
-                   "Join a distributed sweep as a worker claiming "
-                   "cells from the shared --journal (exports are "
-                   "left to the supervisor's merge pass)");
-    parser.addOption("lease-ttl", "10",
-                     "Distributed sweeps: seconds without renewal "
-                     "before a worker's cell lease expires and the "
-                     "cell is re-issued to survivors");
+                     "abort, corrupt-journal");
     parser.addOption("profile", "",
                      "Enable the scoped self-profiler and write "
                      "the merged call tree as JSON to this path "
@@ -236,52 +210,6 @@ makeOptions(const util::ArgParser &parser)
         opt.params.sim_instructions = 1'000'000'000;
         opt.rl_instructions = 100'000'000;
         opt.rl_epochs = 4;
-    }
-
-    // ---- distributed sweeps (docs/ROBUSTNESS.md) ---------------
-    opt.workers = static_cast<uint32_t>(parser.getUint("workers"));
-    opt.join = parser.getFlag("join");
-    opt.sweep.dist.lease_ttl_s = parser.getDouble("lease-ttl");
-    if ((opt.workers > 0 || opt.join) && opt.journal.empty()) {
-        util::fatal("distributed sweep execution (--workers / "
-                    "--join) needs a shared --journal directory");
-    }
-    if (opt.join) {
-        // Worker mode: claim cells through leases; leave every
-        // export (JSON, events, traces, profile) to the
-        // supervisor's merge pass, and publish a per-worker
-        // heartbeat the supervisor aggregates.
-        opt.sweep.dist.enabled = true;
-        opt.sweep.dist.worker_id =
-            static_cast<uint32_t>(parser.getUint("worker-id"));
-        opt.json.clear();
-        opt.events.clear();
-        opt.chrome_trace.clear();
-        opt.profile.clear();
-        opt.sweep.json_path.clear();
-        opt.sweep.progress = false;
-        opt.sweep.heartbeat_path =
-            sim::DistRunner::workerHeartbeatPath(
-                opt.journal, opt.sweep.dist.worker_id);
-    } else if (opt.workers > 0) {
-        // Supervisor mode: spawn the workers (re-exec of this
-        // binary with --join) and wait for them, then fall
-        // through to the normal run as the merge pass — journal
-        // resume collects every committed cell, and cells a
-        // killed worker left behind run locally (their expired
-        // leases are stolen).
-        sim::DistRunner::Options dopts;
-        dopts.workers = opt.workers;
-        dopts.journal_dir = opt.journal;
-        dopts.heartbeat_path = opt.sweep.heartbeat_path;
-        dopts.heartbeat_period_s = opt.sweep.heartbeat_period_s;
-        sim::DistRunner runner(dopts);
-        runner.run(parser.rawArgs());
-        opt.sweep.dist.enabled = true;
-        opt.sweep.dist.worker_id = opt.workers;
-        // Faults meant to murder workers must not kill the
-        // process that merges their results.
-        opt.sweep.faults = opt.sweep.faults.withoutProcessFatal();
     }
     return opt;
 }
@@ -411,10 +339,7 @@ finish(const BenchOptions &opt)
     if (robustness.value("retries") + robustness.value("timeouts") +
             robustness.value("resumed_cells") +
             robustness.value("cancelled_cells") +
-            robustness.value("reaped_markers") +
-            robustness.value("merged_cells") +
-            robustness.value("lease_steals") +
-            robustness.value("fenced_commits") >
+            robustness.value("reaped_markers") >
         0) {
         std::puts("\n=== Sweep robustness ===");
         std::fputs(robustness.dump().c_str(), stdout);
@@ -428,10 +353,7 @@ finish(const BenchOptions &opt)
         std::puts("\n=== Failed sweep cells ===");
         emit(opt, sim::SweepRunner::errorTable(cells));
     }
-    // One exit-code policy for plain sweeps, workers, and the
-    // supervisor: 130 on drain, 1 on any terminal cell failure,
-    // 0 only when every cell committed.
-    return sim::DistRunner::exitCode(interrupted, any_failed);
+    return sim::SweepRunner::exitCode(interrupted, any_failed);
 }
 
 /** Names of all SPEC-like workloads. */

@@ -40,7 +40,7 @@ main(int argc, char **argv)
         double belady = 0.0;
     };
     std::vector<OfflineRates> offline(workloads.size());
-    util::ThreadPool::parallelFor(
+    util::parallelFor(
         workloads.size(), opt.threads, [&](size_t i) {
             sim::SimParams capture_params = opt.params;
             capture_params.sim_instructions = opt.rl_instructions;

@@ -26,7 +26,7 @@ main(int argc, char **argv)
         workloads = bench::trainingNames();
 
     std::vector<std::vector<double>> columns(workloads.size());
-    util::ThreadPool::parallelFor(
+    util::parallelFor(
         workloads.size(), opt.threads, [&](size_t i) {
             sim::SimParams p = opt.params;
             p.sim_instructions = opt.rl_instructions;

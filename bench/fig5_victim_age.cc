@@ -29,7 +29,7 @@ main(int argc, char **argv)
                        "WRITEBACK"});
     std::vector<std::vector<std::string>> rows(workloads.size());
 
-    util::ThreadPool::parallelFor(
+    util::parallelFor(
         workloads.size(), opt.threads, [&](size_t i) {
             sim::SimParams p = opt.params;
             p.sim_instructions = opt.rl_instructions;

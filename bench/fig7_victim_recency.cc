@@ -31,7 +31,7 @@ main(int argc, char **argv)
     std::vector<std::vector<std::string>> rows(workloads.size());
     std::vector<double> mru_share(workloads.size(), 0.0);
 
-    util::ThreadPool::parallelFor(
+    util::parallelFor(
         workloads.size(), opt.threads, [&](size_t i) {
             sim::SimParams p = opt.params;
             p.sim_instructions = opt.rl_instructions;

@@ -5,11 +5,9 @@
 # report is fatal), then the concurrency tests rebuilt with
 # ThreadSanitizer (-DRLR_SANITIZE=thread, build-tsan). The release
 # and ASan stages additionally run the crash-resume harness
-# (scripts/crash_resume_e2e.sh) and the distributed-sweep harness
-# (scripts/dist_sweep_e2e.sh) standalone against their own
-# binaries, so the kill-and-resume and lease-merge guarantees are
-# proven both in Release and under the sanitizers. All stages
-# must pass.
+# (scripts/crash_resume_e2e.sh) standalone against their own
+# binaries, so the kill-and-resume guarantee is proven both in
+# Release and under the sanitizers. All stages must pass.
 #
 # The release stage additionally runs the LLC hot-path throughput
 # benchmark (bench/sim_throughput) and exports its per-policy
@@ -54,14 +52,6 @@ run_crash_resume() {
         --inspect-bin="$dir/tools/inspect"
 }
 
-run_dist_sweep() {
-    local label="$1" dir="$2"
-    echo "=== ci: dist-sweep $label ==="
-    scripts/dist_sweep_e2e.sh \
-        --fig12-bin="$dir/bench/fig12_mpki" \
-        --inspect-bin="$dir/tools/inspect"
-}
-
 run_sim_throughput() {
     local dir="$1"
     echo "=== ci: sim_throughput (perf trajectory) ==="
@@ -90,10 +80,10 @@ run_profile_artifact() {
     "$dir/tools/inspect" --profile PROF_tier1.json >/dev/null
 }
 
-# The tests that run threads against shared state: the sweep
-# pool, cell leases, heartbeats, the profiler, cancellation,
-# journal resume, and the journal itself.
-tsan_tests="test_thread_pool test_lease test_heartbeat test_profiler"
+# The tests that run threads against shared state: parallelFor,
+# heartbeats, the profiler, cancellation, journal resume, and the
+# journal itself.
+tsan_tests="test_thread_pool test_heartbeat test_profiler"
 tsan_tests="$tsan_tests test_sweep_runner test_cancel_token"
 tsan_tests="$tsan_tests test_sweep_resume test_journal"
 
@@ -113,7 +103,6 @@ run_tsan_stage() {
 
 run_stage "release" build -DCMAKE_BUILD_TYPE=Release
 run_crash_resume "release" build
-run_dist_sweep "release" build
 run_sim_throughput build
 run_profile_artifact build
 
@@ -128,9 +117,6 @@ run_stage "asan+ubsan" build-san \
 ASAN_OPTIONS="detect_leaks=0" \
 UBSAN_OPTIONS="print_stacktrace=1" \
 run_crash_resume "asan+ubsan" build-san
-ASAN_OPTIONS="detect_leaks=0" \
-UBSAN_OPTIONS="print_stacktrace=1" \
-run_dist_sweep "asan+ubsan" build-san
 
 run_tsan_stage
 

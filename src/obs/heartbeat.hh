@@ -2,9 +2,8 @@
  * @file
  * Sweep heartbeat: a small machine-readable JSON file rewritten
  * atomically every period while a sweep runs, so external tools
- * (`inspect --top`, the future distributed-sweep controller) can
- * see liveness without attaching to the process
- * (docs/OBSERVABILITY.md).
+ * (`inspect --top`, external monitors) can see liveness without
+ * attaching to the process (docs/OBSERVABILITY.md).
  *
  * Contents: cells done/running/failed, per-worker current cell and
  * its age, throughput, ETA, and current/peak RSS. Writes go

@@ -35,14 +35,9 @@ parseKind(const std::string &word)
         return FaultKind::AbortProcess;
     if (word == "corrupt-journal")
         return FaultKind::CorruptJournal;
-    if (word == "kill-worker")
-        return FaultKind::KillWorker;
-    if (word == "stall-worker")
-        return FaultKind::StallWorker;
     throw std::runtime_error(util::format(
         "--faults: unknown fault kind '{}' (expected throw, "
-        "transient, hang, abort, corrupt-journal, kill-worker, "
-        "or stall-worker)",
+        "transient, hang, abort or corrupt-journal)",
         word));
 }
 
@@ -64,10 +59,6 @@ faultKindName(FaultKind kind)
         return "abort";
       case FaultKind::CorruptJournal:
         return "corrupt-journal";
-      case FaultKind::KillWorker:
-        return "kill-worker";
-      case FaultKind::StallWorker:
-        return "stall-worker";
     }
     return "?";
 }
@@ -173,20 +164,6 @@ FaultPlan::actionFor(size_t index, const std::string &label,
             return FaultAction{e.kind, e.fail_attempts};
     }
     return FaultAction{};
-}
-
-FaultPlan
-FaultPlan::withoutProcessFatal() const
-{
-    FaultPlan out;
-    for (const auto &e : entries_) {
-        if (e.kind == FaultKind::AbortProcess ||
-            e.kind == FaultKind::KillWorker) {
-            continue;
-        }
-        out.entries_.push_back(e);
-    }
-    return out;
 }
 
 } // namespace rlr::sim

@@ -17,14 +17,6 @@
  *   corrupt-journal  the cell runs normally but its journal
  *                    record is truncated after the write
  *                    (exercises corrupt-record recovery)
- *   kill-worker      distributed sweeps: the WORKER PROCESS is
- *                    SIGKILLed when it first claims the cell
- *                    (fencing token 1); re-claims by survivors run
- *                    clean, so the sweep still converges
- *   stall-worker     distributed sweeps: the worker stops renewing
- *                    the cell's lease and sleeps past the TTL, so
- *                    the cell is re-issued and the straggler's
- *                    commit is fenced off
  *
  * Each entry targets cells by zero-based index (`hang@2`), by
  * `workload:policy` label (`throw@429.mcf:RLR`), or by a
@@ -61,8 +53,6 @@ enum class FaultKind : uint8_t {
     Hang,
     AbortProcess,
     CorruptJournal,
-    KillWorker,
-    StallWorker,
 };
 
 /** @return the spec keyword for @p kind ("throw", "hang", ...). */
@@ -99,14 +89,6 @@ class FaultPlan
      */
     FaultAction actionFor(size_t index, const std::string &label,
                           uint64_t seed) const;
-
-    /**
-     * Copy of this plan with the process-fatal kinds (abort,
-     * kill-worker) dropped. The distributed-sweep supervisor runs
-     * its merge pass with this so a fault meant for workers cannot
-     * kill the process that collects their results.
-     */
-    FaultPlan withoutProcessFatal() const;
 
   private:
     struct Entry

@@ -8,7 +8,6 @@
 #include <stdexcept>
 
 #include "obs/profiler.hh"
-#include "sim/lease.hh"
 #include "stats/export.hh"
 #include "util/atomic_file.hh"
 #include "util/format.hh"
@@ -452,36 +451,6 @@ SweepJournal::load(uint64_t spec_hash,
     return true;
 }
 
-bool
-SweepJournal::reload(uint64_t spec_hash,
-                     const SweepRunner::CellSpec &spec,
-                     uint64_t seed, SweepCell &out) const
-{
-    const std::string path =
-        dir_ + "/cell-" + hex16(spec_hash) + ".json";
-    if (!fs::exists(path))
-        return false;
-    SweepCell rec;
-    try {
-        rec = cellFromJson(readFile(path));
-    } catch (const std::exception &) {
-        // Torn or still-racing record: report absent, the caller
-        // polls again.
-        return false;
-    }
-    if (rec.workload != spec.workload ||
-        rec.policy != spec.policy || rec.seed != seed) {
-        util::warn(
-            "journal record {} in '{}' claims cell {}:{} seed {} "
-            "but the sweep expects {}:{} seed {} — ignoring",
-            hex16(spec_hash), dir_, rec.workload, rec.policy,
-            rec.seed, spec.workload, spec.policy, seed);
-        return false;
-    }
-    out = rec;
-    return true;
-}
-
 void
 SweepJournal::append(uint64_t spec_hash, const SweepCell &cell,
                      bool corrupt) const
@@ -582,7 +551,6 @@ SweepJournal::summarize(const std::string &dir)
 
     std::vector<std::string> names;
     std::vector<std::string> inflight;
-    std::vector<std::string> leases;
     std::error_code ec;
     for (const auto &entry : fs::directory_iterator(dir, ec)) {
         const std::string name = entry.path().filename();
@@ -590,15 +558,9 @@ SweepJournal::summarize(const std::string &dir)
             names.push_back(name);
         else if (name.rfind("inflight-", 0) == 0)
             inflight.push_back(name);
-        else if (name.rfind("lease-", 0) == 0 &&
-                 name.size() > 5 && name.substr(name.size() - 5)
-                 == ".json") {
-            leases.push_back(name);
-        }
     }
     std::sort(names.begin(), names.end());
     std::sort(inflight.begin(), inflight.end());
-    std::sort(leases.begin(), leases.end());
     size_t ok = 0, failed = 0, bad = 0;
     for (const auto &name : names) {
         try {
@@ -648,38 +610,11 @@ SweepJournal::summarize(const std::string &dir)
             "  {}  {}  IN-FLIGHT  attempt {}  age {:.1f}s\n",
             name, cell, attempt, age_s);
     }
-    // Lease files: who holds which cell right now, and whether
-    // the lease is still live (age under its TTL) or expired and
-    // waiting to be stolen.
-    size_t expired = 0;
-    for (const auto &name : leases) {
-        const std::string path = dir + "/" + name;
-        LeaseInfo info;
-        if (!Lease::read(path, info)) {
-            out += util::format("  {}  LEASE  unreadable\n",
-                                name);
-            continue;
-        }
-        const bool live =
-            info.ttl_s <= 0.0 || info.age_s < info.ttl_s;
-        if (!live)
-            ++expired;
-        out += util::format(
-            "  {}  LEASE  worker {}  pid {}  attempt {}  fence "
-            "{}  age {:.1f}s/{:.1f}s{}\n",
-            name, info.worker, info.pid, info.attempt,
-            info.fence, info.age_s, info.ttl_s,
-            live ? "" : "  EXPIRED");
-    }
     out += util::format(
         "  {} records: {} ok, {} failed, {} unreadable",
         names.size(), ok, failed, bad);
     if (!inflight.empty())
         out += util::format(", {} in flight", inflight.size());
-    if (!leases.empty()) {
-        out += util::format(", {} leased ({} expired)",
-                            leases.size(), expired);
-    }
     out += "\n";
     return out;
 }

@@ -54,13 +54,13 @@ constexpr uint32_t kJournalVersion = 1;
 
 /**
  * Journal SCHEMA version: the layout of the record documents
- * themselves (header members, cell members, lease/fence files).
+ * themselves (header members, cell members).
  * Headers written before the schema member existed parse as
  * schema 1. Resume across schema versions is a hard error — a
  * silent mismatch would re-run (and re-bill) every cell.
  *
- * History: 1 = PR 5 layout; 2 = distributed sweeps (writer
- * identity in the header, lease-/fence- files in the directory).
+ * History: 1 = original layout; 2 = writer identity in the
+ * header.
  */
 constexpr uint32_t kJournalSchema = 2;
 
@@ -122,17 +122,6 @@ class SweepJournal
               uint64_t seed, SweepCell &out) const;
 
     /**
-     * Like load(), but re-reads the record from DISK instead of
-     * the in-memory snapshot taken at open. Distributed sweeps
-     * use this to merge cells that other workers committed after
-     * this process opened the journal. @return true when a
-     * readable, matching record exists.
-     */
-    bool reload(uint64_t spec_hash,
-                const SweepRunner::CellSpec &spec, uint64_t seed,
-                SweepCell &out) const;
-
-    /**
      * Durably record a completed cell (atomic write + fsync).
      * Thread-safe for distinct cells — each spec hash names its
      * own file. With @p corrupt the record is deliberately
@@ -156,7 +145,7 @@ class SweepJournal
 
     /**
      * Remove in-flight markers whose mtime is older than
-     * @p ttl_s — breadcrumbs of attempts a crashed worker never
+     * @p ttl_s — breadcrumbs of attempts a crashed process never
      * finished. Markers for cells that already have a record are
      * reaped regardless of age. @return markers removed (counted
      * in `sweep.reaped_markers`).

@@ -129,20 +129,12 @@ class SignalGuard
     struct sigaction old_term_ = {};
 };
 
-/** Per-cell watchdog and lease state shared with the monitor. */
+/** Per-cell watchdog state shared with the monitor. */
 struct AttemptSlot
 {
     util::CancelToken token;
     /** Deadline in steady-clock millis; -1 = no attempt armed. */
     std::atomic<int64_t> deadline_ms{-1};
-
-    // Distributed sweeps: the lease this slot's worker thread
-    // currently holds. fence 0 = none; the monitor thread renews
-    // held leases every TTL/3 unless `stalled` (the stall-worker
-    // fault deliberately lets the lease expire).
-    std::atomic<uint64_t> lease_fence{0};
-    std::atomic<uint32_t> lease_attempt{0};
-    std::atomic<bool> stalled{false};
 };
 
 /**
@@ -183,8 +175,6 @@ injectFault(const FaultAction &fault, uint32_t attempt,
       case FaultKind::None:
       case FaultKind::AbortProcess:   // handled before the loop
       case FaultKind::CorruptJournal: // handled at journal time
-      case FaultKind::KillWorker:     // handled before the loop
-      case FaultKind::StallWorker:    // handled before the loop
         return;
       case FaultKind::Throw:
         throw std::runtime_error("injected fault: throw");
@@ -208,6 +198,12 @@ injectFault(const FaultAction &fault, uint32_t attempt,
 }
 
 /**
+ * Age past which an in-flight marker left by an earlier run counts
+ * as stale: its attempt died with the process that started it.
+ */
+constexpr double kStaleMarkerS = 10.0;
+
+/**
  * Journal open + resume: verify the header, mark every cell an
  * earlier run committed resumed, reap stale in-flight markers, and
  * fill @p hashes. @return nullptr when the sweep has no journal.
@@ -227,9 +223,8 @@ openJournal(const SimParams &params, const SweepOptions &opts,
     header.master_seed = params.seed;
     header.config_hash = sweepConfigHash(params, specs);
     header.build = RLR_GIT_DESCRIBE;
-    header.writer = util::format("pid {} worker {}",
-                                 static_cast<long>(::getpid()),
-                                 opts.dist.worker_id);
+    header.writer =
+        util::format("pid {}", static_cast<long>(::getpid()));
     header.n_cells = n;
     std::unique_ptr<SweepJournal> journal;
     try {
@@ -248,10 +243,10 @@ openJournal(const SimParams &params, const SweepOptions &opts,
             cells[i].resumed = true;
         }
     }
-    // In-flight markers older than the lease TTL (or covered by a
-    // record) are breadcrumbs of attempts a crashed worker never
+    // In-flight markers older than kStaleMarkerS (or covered by a
+    // record) are breadcrumbs of attempts a crashed run never
     // finished.
-    reaped_markers = journal->reapStaleMarkers(opts.dist.lease_ttl_s);
+    reaped_markers = journal->reapStaleMarkers(kStaleMarkerS);
     if (reaped_markers > 0) {
         util::warn("reaped {} stale in-flight marker{} in '{}'",
                    reaped_markers, reaped_markers == 1 ? "" : "s",
@@ -260,108 +255,51 @@ openJournal(const SimParams &params, const SweepOptions &opts,
     return journal;
 }
 
-/** Re-scan period while only cells other workers hold remain. */
-constexpr double kLeasePollS = 0.05;
-
 /**
- * The claim and commit ends of the sweep's one worker loop. Per-cell
+ * The claim and commit ends of the sweep's one worker loop: per-cell
  * claim states under one mutex hand each cell to exactly one thread.
- * Distributed sweeps layer the lease protocol (sim/lease.hh) on top:
- * a cell another process committed is merged from the journal, a
- * cell runs only under a won lease, and a commit is fenced and then
- * releases the lease.
  */
 class CellClaims
 {
   public:
-    CellClaims(const std::vector<SweepRunner::CellSpec> &specs,
-               std::vector<SweepCell> &cells,
+    CellClaims(std::vector<SweepCell> &cells,
                const std::vector<uint64_t> &hashes,
-               SweepJournal *journal, const DistOptions &dist,
-               std::vector<AttemptSlot> &slots,
-               std::atomic<uint64_t> &steals)
-        : specs_(specs), cells_(cells), hashes_(hashes),
-          journal_(journal), slots_(slots), steals_(steals),
-          ttl_s_(dist.lease_ttl_s), state_(cells.size(), State::Open)
+               SweepJournal *journal)
+        : cells_(cells), hashes_(hashes), journal_(journal),
+          state_(cells.size(), State::Open)
     {
         for (size_t i = 0; i < cells.size(); ++i)
             if (cells[i].resumed)
                 state_[i] = State::Settled;
-        if (dist.enabled) {
-            lease_ = std::make_unique<Lease>(
-                journal->dir(), dist.worker_id, dist.lease_ttl_s);
-        }
     }
 
-    /**
-     * Claim the next unsettled cell into @p cell; @p merged says
-     * another process's journal record settled it instead. @return
-     * false when draining or when siblings hold every unsettled cell.
-     */
+    /** Claim the next open cell into @p cell. @return false when
+     *  draining or when no open cell remains. */
     bool
-    next(size_t &cell, bool &merged,
-         const std::atomic<bool> &draining)
+    next(size_t &cell, const std::atomic<bool> &draining)
     {
-        while (!draining.load(std::memory_order_relaxed)) {
-            bool waiting = false;
-            for (size_t i = claimOpen(0); i < state_.size();
-                 i = claimOpen(i + 1)) {
+        if (draining.load(std::memory_order_relaxed))
+            return false;
+        std::lock_guard<std::mutex> lk(mu_);
+        for (size_t i = 0; i < state_.size(); ++i) {
+            if (state_[i] == State::Open) {
+                state_[i] = State::Claimed;
                 cell = i;
-                merged = false;
-                if (!lease_)
-                    return true;
-                if (journal_->reload(hashes_[i], specs_[i],
-                                     cells_[i].seed, cells_[i])) {
-                    merged = true;
-                    std::lock_guard<std::mutex> lk(mu_);
-                    state_[i] = State::Settled;
-                    return true;
-                }
-                const Lease::Claim lease =
-                    lease_->tryClaim(hashes_[i], 1, stealAfter());
-                if (lease.won) {
-                    if (lease.stole)
-                        steals_.fetch_add(1);
-                    slots_[i].lease_attempt.store(
-                        1, std::memory_order_relaxed);
-                    slots_[i].lease_fence.store(
-                        lease.fence, std::memory_order_relaxed);
-                    return true;
-                }
-                reopen(i); // held by a live worker elsewhere
-                waiting = true;
+                return true;
             }
-            if (!waiting)
-                return false;
-            sleepInterruptible(kLeasePollS, draining);
         }
         return false;
     }
 
-    /** Journal and settle a finished cell. @return false (cell
-     *  reopened, nothing written) when its lease was re-issued while
-     *  it ran: the thief's commit is authoritative. */
-    bool
+    /** Journal and settle a finished cell. */
+    void
     commit(size_t i, const SweepCell &cell, bool corrupt_record)
     {
-        const uint64_t fence = disarm(i);
-        if (lease_ && !lease_->stillHeld(hashes_[i], fence)) {
-            reopen(i);
-            return false;
-        }
         if (journal_)
             journal_->append(hashes_[i], cell, corrupt_record);
-        if (lease_)
-            lease_->release(hashes_[i], fence);
         std::lock_guard<std::mutex> lk(mu_);
         state_[i] = State::Settled;
-        walls_.push_back(cell.wall_seconds);
-        return true;
     }
-
-    /** A drain cancelled cell @p i: it stays claimed, so no sibling
-     *  runs it, and runs again on resume. */
-    void cancelled(size_t i) { disarm(i); }
 
     /**
      * The drain pass, after the workers joined: label every
@@ -382,107 +320,23 @@ class CellClaims
         return labelled;
     }
 
-    /** Renew held leases every TTL/3 (monitor thread); a stalled
-     *  slot deliberately lets its lease expire. */
-    void
-    renewHeld()
-    {
-        const int64_t now = nowMillis();
-        const auto every = static_cast<int64_t>(ttl_s_ * 1000.0 / 3.0);
-        if (!lease_ || now - renewed_ms_ < every)
-            return;
-        renewed_ms_ = now;
-        std::lock_guard<std::mutex> lk(mu_);
-        for (size_t i = 0; i < slots_.size(); ++i) {
-            const AttemptSlot &slot = slots_[i];
-            const uint64_t fence =
-                slot.lease_fence.load(std::memory_order_relaxed);
-            if (fence != 0 &&
-                !slot.stalled.load(std::memory_order_relaxed)) {
-                lease_->renew(hashes_[i],
-                              slot.lease_attempt.load(
-                                  std::memory_order_relaxed),
-                              fence);
-            }
-        }
-    }
-
   private:
     enum class State : uint8_t { Open, Claimed, Settled };
 
-    /** Claim the first open cell at or after @p from; n if none. */
-    size_t
-    claimOpen(size_t from)
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        for (; from < state_.size(); ++from) {
-            if (state_[from] == State::Open) {
-                state_[from] = State::Claimed;
-                break;
-            }
-        }
-        return from;
-    }
-
-    void
-    reopen(size_t i)
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        state_[i] = State::Open;
-    }
-
-    /** Stop renewing cell @p i's lease; @return its fence. Holding
-     *  mu_ means no renewal can rewrite a released lease. */
-    uint64_t
-    disarm(size_t i)
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        slots_[i].stalled.store(false, std::memory_order_relaxed);
-        return slots_[i].lease_fence.exchange(
-            0, std::memory_order_relaxed);
-    }
-
-    /** Steal threshold max(TTL, 3 x median committed cell wall),
-     *  so cells that legitimately run long are not re-issued. */
-    double
-    stealAfter() const
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        if (walls_.empty())
-            return ttl_s_;
-        std::vector<double> s(walls_);
-        std::nth_element(s.begin(), s.begin() + s.size() / 2,
-                         s.end());
-        return std::max(ttl_s_, 3.0 * s[s.size() / 2]);
-    }
-
-    const std::vector<SweepRunner::CellSpec> &specs_;
     std::vector<SweepCell> &cells_;
     const std::vector<uint64_t> &hashes_;
     SweepJournal *journal_;
-    std::vector<AttemptSlot> &slots_;
-    std::atomic<uint64_t> &steals_;
-    const double ttl_s_;
-    /** Distributed sweeps only. */
-    std::unique_ptr<Lease> lease_;
 
-    /** Guards state_ and walls_, and orders renewals against
-     *  disarm(). */
-    mutable std::mutex mu_;
+    std::mutex mu_;
     std::vector<State> state_;
-    /** Wall clocks of the cells committed here. */
-    std::vector<double> walls_;
-    /** Last renewal pass (monitor thread only). */
-    int64_t renewed_ms_ = 0;
 };
 
 /** The monitor thread: every 20 ms until @p stop, turn a caught
- *  signal into a drain, cancel attempts past their watchdog
- *  deadline, and renew held leases. */
+ *  signal into a drain and cancel attempts past their watchdog
+ *  deadline. */
 void
 monitorLoop(const SweepOptions &opts, std::vector<AttemptSlot> &slots,
-            CellClaims &claims, std::atomic<bool> &draining,
-            const std::stop_token &stop)
+            std::atomic<bool> &draining, const std::stop_token &stop)
 {
     using Reason = util::CancelToken::Reason;
     while (!stop.stop_requested()) {
@@ -512,7 +366,6 @@ monitorLoop(const SweepOptions &opts, std::vector<AttemptSlot> &slots,
                     slot.token.cancel(Reason::Timeout);
             }
         }
-        claims.renewHeld();
         std::this_thread::sleep_for(
             std::chrono::milliseconds(20));
     }
@@ -530,6 +383,16 @@ SweepRunner::cellSeed(uint64_t master_seed,
                       const std::string &workload)
 {
     return mix64(master_seed ^ hashLabel(workload));
+}
+
+int
+SweepRunner::exitCode(bool interrupted, bool any_failed)
+{
+    if (interrupted)
+        return 130;
+    if (any_failed)
+        return 1;
+    return 0;
 }
 
 bool
@@ -561,10 +424,6 @@ SweepRunner::runCells(std::vector<CellSpec> specs)
         cells[i].seed = cellSeed(params_.seed, specs[i].workload);
     }
 
-    if (opts_.dist.enabled && opts_.journal_dir.empty()) {
-        util::fatal("distributed sweep execution needs a shared "
-                    "--journal directory");
-    }
     std::vector<uint64_t> hashes(n, 0);
     size_t reaped_markers = 0;
     const std::unique_ptr<SweepJournal> journal = openJournal(
@@ -586,11 +445,7 @@ SweepRunner::runCells(std::vector<CellSpec> specs)
     std::atomic<uint64_t> failed_count{0};
     std::atomic<uint64_t> cancelled_count{0};
     std::atomic<uint64_t> completed_count{0};
-    std::atomic<uint64_t> merged_count{0};
-    std::atomic<uint64_t> fenced_count{0};
-    std::atomic<uint64_t> steal_count{0};
-    CellClaims claims(specs, cells, hashes, journal.get(), opts_.dist,
-                      slots, steal_count);
+    CellClaims claims(cells, hashes, journal.get());
 
     std::atomic<bool> draining{false};
     SignalGuard signal_guard(opts_.handle_signals);
@@ -602,11 +457,10 @@ SweepRunner::runCells(std::vector<CellSpec> specs)
     }
     // Joined on scope exit, so also when a worker throws.
     std::jthread monitor;
-    if (resumed < n && (opts_.handle_signals ||
-                        opts_.cell_timeout_s > 0.0 ||
-                        opts_.dist.enabled)) {
+    if (resumed < n &&
+        (opts_.handle_signals || opts_.cell_timeout_s > 0.0)) {
         monitor = std::jthread([&](std::stop_token stop) {
-            monitorLoop(opts_, slots, claims, draining, stop);
+            monitorLoop(opts_, slots, draining, stop);
         });
     }
 
@@ -646,23 +500,6 @@ SweepRunner::runCells(std::vector<CellSpec> specs)
             !draining.load(std::memory_order_relaxed)) {
             std::raise(SIGKILL);
         }
-        // Distributed faults fire only under fencing token 1 (a
-        // held lease's first issue), so only the FIRST claimant
-        // misbehaves — survivors that re-claim the cell run it
-        // clean and the sweep still converges.
-        if (slot.lease_fence.load(std::memory_order_relaxed) == 1 &&
-            !draining.load(std::memory_order_relaxed)) {
-            if (fault.kind == FaultKind::KillWorker)
-                std::raise(SIGKILL);
-            if (fault.kind == FaultKind::StallWorker) {
-                // Stop renewing and outlive the TTL: the lease
-                // expires, a survivor re-issues the cell, and our
-                // eventual commit is fenced off.
-                slot.stalled.store(true, std::memory_order_relaxed);
-                sleepInterruptible(opts_.dist.lease_ttl_s * 3.0,
-                                   draining);
-            }
-        }
 
         SimParams p = params_;
         p.llc_policy = cell.policy;
@@ -682,8 +519,6 @@ SweepRunner::runCells(std::vector<CellSpec> specs)
         for (uint32_t attempt = 1; attempt <= max_attempts;
              ++attempt) {
             cell.attempts = attempt;
-            slot.lease_attempt.store(attempt,
-                                     std::memory_order_relaxed);
             cell.error.clear();
             cell.timed_out = false;
             if (draining.load(std::memory_order_relaxed)) {
@@ -767,14 +602,12 @@ SweepRunner::runCells(std::vector<CellSpec> specs)
             heartbeat->cellFinished(cell.ok());
 
         if (signal_cancelled) {
-            // Not a final outcome — the cell re-runs on resume.
+            // Not a final outcome: the cell stays claimed, so no
+            // sibling runs it, and it re-runs on resume.
             cancelled_count.fetch_add(1);
-            claims.cancelled(i);
-        } else if (!claims.commit(
-                       i, cell,
-                       fault.kind == FaultKind::CorruptJournal)) {
-            fenced_count.fetch_add(1);
         } else {
+            claims.commit(i, cell,
+                          fault.kind == FaultKind::CorruptJournal);
             completed_count.fetch_add(1);
             if (!cell.ok())
                 failed_count.fetch_add(1);
@@ -785,25 +618,10 @@ SweepRunner::runCells(std::vector<CellSpec> specs)
     // ---- the worker loop: claim -> execute -> commit ------------
     auto worker = [&](size_t) {
         size_t i = 0;
-        bool merged = false;
-        while (claims.next(i, merged, draining)) {
-            if (!merged) {
-                run_one(i);
-                continue;
-            }
-            const SweepCell &cell = cells[i];
-            merged_count.fetch_add(1);
-            if (!cell.ok())
-                failed_count.fetch_add(1);
-            if (heartbeat) {
-                heartbeat->cellStarted(
-                    cell.workload + ":" + cell.policy, cell.attempts);
-                heartbeat->cellFinished(cell.ok());
-            }
-            bump_progress();
-        }
+        while (claims.next(i, draining))
+            run_one(i);
     };
-    util::ThreadPool::parallelFor(
+    util::parallelFor(
         std::min(std::max<size_t>(opts_.threads, 1), n - resumed),
         opts_.threads, worker);
     monitor.request_stop();
@@ -827,9 +645,6 @@ SweepRunner::runCells(std::vector<CellSpec> specs)
     sweep_stats_.counter("failed_cells") = failed_count;
     sweep_stats_.counter("cancelled_cells") = cancelled_count;
     sweep_stats_.counter("reaped_markers") = reaped_markers;
-    sweep_stats_.counter("merged_cells") = merged_count;
-    sweep_stats_.counter("lease_steals") = steal_count;
-    sweep_stats_.counter("fenced_commits") = fenced_count;
 
     if (opts_.stable_telemetry) {
         // Leave only seed-determined fields in the export.

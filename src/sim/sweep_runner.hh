@@ -4,20 +4,19 @@
  * parallel experiment engine behind every (workload x policy)
  * sweep.
  *
- * Every sweep runs one worker loop on each of its threads: claim
- * the next unsettled cell, execute it, commit it. An in-process
- * claim table hands each cell to exactly one thread; distributed
- * sweeps (SweepOptions::dist) add journal merges and lease claims
- * on top of it, so worker processes and threads share the loop.
- * Each cell's seed derives from the master seed and its workload
- * label only, so thread count, process count and claim order never
- * change results, and every policy sees the same access stream for
- * a workload. A throwing cell becomes a per-cell error string; the
- * remaining cells still run.
+ * Threads are the one way to run a sweep in parallel: each of
+ * the sweep's threads runs one worker loop that claims the next
+ * open cell, executes it and commits it, and a claim table hands
+ * each cell to exactly one thread. Each cell's seed derives from
+ * the master seed and its workload label only, so thread count
+ * and claim order never change results, and every policy sees the
+ * same access stream for a workload. A throwing cell becomes a
+ * per-cell error string; the remaining cells still run.
  *
  * Robustness (docs/ROBUSTNESS.md): a durable journal
  * (journal_dir) records each committed cell, and a restarted sweep
- * skips journaled cells with byte-identical stable exports; a
+ * skips journaled cells with byte-identical stable exports, which
+ * is also how a sweep whose process was killed recovers; a
  * watchdog (cell_timeout_s) cancels overrunning attempts through
  * the cooperative CancelToken; retryable failures re-run up to
  * cell_retries times with decorrelated-jitter backoff;
@@ -39,7 +38,6 @@
 
 #include "sim/experiment.hh"
 #include "sim/fault_plan.hh"
-#include "sim/lease.hh"
 #include "stats/stats.hh"
 #include "util/table.hh"
 
@@ -95,15 +93,6 @@ struct SweepOptions
      */
     std::string heartbeat_path;
     double heartbeat_period_s = 0.5;
-
-    /**
-     * Distributed execution (sim/lease.hh): the worker loop also
-     * merges cells other processes journaled and claims the rest
-     * through lease files, so N worker processes sharing one
-     * journal_dir run the sweep together and a killed worker's
-     * cells are re-issued to survivors.
-     */
-    DistOptions dist;
 };
 
 /** Fault-isolated parallel (workload x policy) experiment engine. */
@@ -149,9 +138,7 @@ class SweepRunner
      * Robustness counters of the last runCells() call:
      * sweep.completed_cells, sweep.resumed_cells, sweep.retries,
      * sweep.timeouts, sweep.failed_cells, sweep.cancelled_cells,
-     * and in journaled/distributed runs sweep.reaped_markers,
-     * sweep.merged_cells, sweep.lease_steals,
-     * sweep.fenced_commits.
+     * and in journaled runs sweep.reaped_markers.
      */
     const stats::StatSet &stats() const { return sweep_stats_; }
 
@@ -161,6 +148,13 @@ class SweepRunner
      * exit nonzero).
      */
     static bool interrupted();
+
+    /**
+     * Exit-code policy of every bench binary: 130 after a
+     * SIGINT/SIGTERM drain, 1 when any cell exhausted retries (or
+     * failed terminally), 0 only when every cell committed ok.
+     */
+    static int exitCode(bool interrupted, bool any_failed);
 
     /** @return true when any cell recorded an error. */
     static bool anyFailed(const std::vector<SweepCell> &cells);

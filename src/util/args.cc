@@ -33,7 +33,6 @@ ArgParser::parse(int argc, const char *const *argv)
 {
     if (argc > 0)
         program_ = argv[0];
-    raw_args_.assign(argv, argv + argc);
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg.rfind("--", 0) != 0)

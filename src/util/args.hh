@@ -45,16 +45,6 @@ class ArgParser
     /** Comma-separated list option split into entries. */
     std::vector<std::string> getList(const std::string &name) const;
 
-    /**
-     * The argv this parser was fed, verbatim (argv[0] included).
-     * The distributed-sweep supervisor re-execs itself with this
-     * plus per-worker overrides.
-     */
-    const std::vector<std::string> &rawArgs() const
-    {
-        return raw_args_;
-    }
-
     /** @return the generated usage text. */
     std::string usage() const;
 
@@ -69,7 +59,6 @@ class ArgParser
     std::string description_;
     std::map<std::string, Option> options_;
     std::map<std::string, std::string> values_;
-    std::vector<std::string> raw_args_;
     std::string program_ = "prog";
 };
 

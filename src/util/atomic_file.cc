@@ -51,8 +51,7 @@ syncDir(const std::string &dir)
 } // namespace
 
 void
-atomicWriteFile(const std::string &path, std::string_view data,
-                std::string_view tag)
+atomicWriteFile(const std::string &path, std::string_view data)
 {
     // The temp name must be unique per *writer*, not just per
     // process: two threads racing on the same destination (e.g.
@@ -60,13 +59,9 @@ atomicWriteFile(const std::string &path, std::string_view data,
     // share one temp file, and whichever renames second finds it
     // already gone. With distinct temps both renames succeed and
     // the last writer wins — atomically, which is the contract.
-    // The caller-supplied tag (fencing token in distributed
-    // sweeps) additionally separates writer generations that could
-    // share a recycled pid.
     static std::atomic<uint64_t> writer_seq{0};
     const std::string tmp = format(
-        "{}.tmp.{}{}{}.{}", path, static_cast<long>(::getpid()),
-        tag.empty() ? "" : ".", tag,
+        "{}.tmp.{}.{}", path, static_cast<long>(::getpid()),
         writer_seq.fetch_add(1, std::memory_order_relaxed));
     const int fd = ::open(tmp.c_str(),
                           O_WRONLY | O_CREAT | O_TRUNC, 0644);

@@ -20,16 +20,11 @@ namespace rlr::util
 /**
  * Durably replace @p path with @p data: write to a sibling temp
  * file, fsync it, rename over @p path, then fsync the directory.
- * @param tag optional extra token embedded in the temp-file name.
- *        Distributed writers pass their fencing token here so temp
- *        names stay distinct across fencing rounds even when pids
- *        are reused across worker generations.
  * @throws std::runtime_error on any I/O failure (the temp file is
  *         removed best-effort).
  */
 void atomicWriteFile(const std::string &path,
-                     std::string_view data,
-                     std::string_view tag = {});
+                     std::string_view data);
 
 /** atomicWriteFile that fatal()s on failure (CLI write paths). */
 void atomicWriteFileOrFatal(const std::string &path,

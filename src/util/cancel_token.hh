@@ -9,8 +9,10 @@
  * instructions — and unwind by throwing CancelledError, which the
  * SweepRunner turns into a per-cell error instead of a hung or
  * torn-down sweep. The disabled path (no token attached) costs
- * one predicted branch per checkpoint; test_cancel_token bounds
- * it under 1%.
+ * one predicted branch per checkpoint. test_cancel_token checks
+ * the armed path instead: a cell polling an attached, never-
+ * cancelled token runs within 3% of the detached baseline
+ * (skipped when the host is too noisy to judge).
  */
 
 #ifndef RLR_UTIL_CANCEL_TOKEN_HH

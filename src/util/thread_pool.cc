@@ -3,68 +3,18 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <mutex>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 namespace rlr::util
 {
 
-ThreadPool::ThreadPool(size_t nthreads)
-{
-    if (nthreads == 0) {
-        nthreads = std::max(1u, std::thread::hardware_concurrency());
-    }
-    workers_.reserve(nthreads);
-    for (size_t i = 0; i < nthreads; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    {
-        std::scoped_lock lock(mutex_);
-        stop_ = true;
-    }
-    cv_.notify_all();
-    for (auto &w : workers_)
-        w.join();
-}
-
 void
-ThreadPool::workerLoop()
-{
-    for (;;) {
-        std::function<void()> task;
-        {
-            std::unique_lock lock(mutex_);
-            cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-            if (stop_ && queue_.empty())
-                return;
-            task = std::move(queue_.front());
-            queue_.pop_front();
-            ++active_;
-        }
-        task();
-        {
-            std::scoped_lock lock(mutex_);
-            --active_;
-            if (queue_.empty() && active_ == 0)
-                idle_cv_.notify_all();
-        }
-    }
-}
-
-void
-ThreadPool::waitIdle()
-{
-    std::unique_lock lock(mutex_);
-    idle_cv_.wait(lock,
-                  [this] { return queue_.empty() && active_ == 0; });
-}
-
-void
-ThreadPool::parallelFor(size_t n, size_t nthreads,
-                        const std::function<void(size_t)> &fn)
+parallelFor(size_t n, size_t nthreads,
+            const std::function<void(size_t)> &fn)
 {
     if (n == 0)
         return;

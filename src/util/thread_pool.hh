@@ -1,88 +1,37 @@
 /**
  * @file
- * A small fixed-size thread pool used to run independent
- * (workload, policy) simulation cells in parallel. Results are
- * deterministic because each cell owns its own RNG and state.
+ * util::parallelFor, the one primitive behind every parallel sweep:
+ * sim::SweepRunner runs its worker loops on it, and the victim-
+ * analysis figures fan their per-workload jobs out with it. Results
+ * are deterministic because each iteration owns its own RNG and
+ * state.
  */
 
 #ifndef RLR_UTIL_THREAD_POOL_HH
 #define RLR_UTIL_THREAD_POOL_HH
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <future>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace rlr::util
 {
 
-/** Fixed-size worker pool with a FIFO task queue. */
-class ThreadPool
-{
-  public:
-    /** @param nthreads worker count; 0 means hardware concurrency. */
-    explicit ThreadPool(size_t nthreads = 0);
-
-    /** Drains the queue and joins all workers. */
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
-
-    /** Enqueue a task; the future resolves with its result. */
-    template <typename F>
-    auto
-    submit(F &&fn) -> std::future<std::invoke_result_t<F>>
-    {
-        using R = std::invoke_result_t<F>;
-        auto task = std::make_shared<std::packaged_task<R()>>(
-            std::forward<F>(fn));
-        std::future<R> fut = task->get_future();
-        {
-            std::scoped_lock lock(mutex_);
-            queue_.emplace_back([task] { (*task)(); });
-        }
-        cv_.notify_one();
-        return fut;
-    }
-
-    /** Block until every queued task has finished. */
-    void waitIdle();
-
-    size_t size() const { return workers_.size(); }
-
-    /**
-     * Convenience: run fn(i) for i in [0, n) across the pool and
-     * wait for completion.
-     *
-     * If exactly one fn(i) throws, that exception is rethrown
-     * here after all workers have joined. When several iterations
-     * fail concurrently (iterations already started finish even
-     * after a failure is recorded; no new iterations are claimed),
-     * every captured message is aggregated into one
-     * std::runtime_error ("N worker tasks failed: [0] ...; [1]
-     * ..."), so no concurrent failure is silently dropped.
-     * Callers that need every iteration to run despite failures
-     * must catch inside fn (see sim::SweepRunner).
-     */
-    static void parallelFor(size_t n, size_t nthreads,
-                            const std::function<void(size_t)> &fn);
-
-  private:
-    void workerLoop();
-
-    std::vector<std::thread> workers_;
-    std::deque<std::function<void()>> queue_;
-    std::mutex mutex_;
-    std::condition_variable cv_;
-    std::condition_variable idle_cv_;
-    size_t active_ = 0;
-    bool stop_ = false;
-};
+/**
+ * Run fn(i) for i in [0, n) on min(n, nthreads) threads and wait
+ * for completion; nthreads <= 1 runs the loop on the caller.
+ *
+ * If exactly one fn(i) throws, that exception is rethrown here
+ * after all workers have joined. When several iterations fail
+ * concurrently (iterations already started finish even after a
+ * failure is recorded; no new iterations are claimed), every
+ * captured message is aggregated into one std::runtime_error ("N
+ * worker tasks failed: [0] ...; [1] ..."), so no concurrent
+ * failure is silently dropped. Callers that need every iteration
+ * to run despite failures must catch inside fn (see
+ * sim::SweepRunner).
+ */
+void parallelFor(size_t n, size_t nthreads,
+                 const std::function<void(size_t)> &fn);
 
 } // namespace rlr::util
 

@@ -1,58 +1,22 @@
 // Exit-code audit (docs/ROBUSTNESS.md): every bench binary
-// resolves its exit status through DistRunner::exitCode, so this
+// resolves its exit status through SweepRunner::exitCode, so this
 // table IS the policy — 130 after a SIGINT/SIGTERM drain, 1 when
 // any cell exhausted its retries, 0 only when every cell
-// committed ok. Also pins down the supervisor→worker argv
-// rewrite, which the distributed e2e depends on.
+// committed ok.
 
 #include <gtest/gtest.h>
 
-#include <string>
-#include <vector>
+#include "sim/sweep_runner.hh"
 
-#include "sim/dist_runner.hh"
-
-using rlr::sim::DistRunner;
+using rlr::sim::SweepRunner;
 
 TEST(ExitCodes, Table)
 {
     // interrupted, any_failed -> exit status
-    EXPECT_EQ(DistRunner::exitCode(false, false), 0);
-    EXPECT_EQ(DistRunner::exitCode(false, true), 1);
-    EXPECT_EQ(DistRunner::exitCode(true, false), 130);
+    EXPECT_EQ(SweepRunner::exitCode(false, false), 0);
+    EXPECT_EQ(SweepRunner::exitCode(false, true), 1);
+    EXPECT_EQ(SweepRunner::exitCode(true, false), 130);
     // A drain outranks cell failures: the operator pressed ^C, so
     // "interrupted" is the truthful summary of the run.
-    EXPECT_EQ(DistRunner::exitCode(true, true), 130);
-}
-
-TEST(ExitCodes, WorkerArgvStripsSupervisorFlags)
-{
-    const std::vector<std::string> argv = {
-        "fig12_mpki",  "--workers",  "4",
-        "--journal",   "/tmp/j",     "--progress",
-        "--seed",      "42",
-    };
-    const auto out = DistRunner::workerArgv(argv, 2);
-    const std::vector<std::string> want = {
-        "fig12_mpki", "--journal", "/tmp/j",    "--seed",
-        "42",         "--join",    "--worker-id", "2",
-    };
-    EXPECT_EQ(out, want);
-}
-
-TEST(ExitCodes, WorkerArgvStripsEqualsForm)
-{
-    const std::vector<std::string> argv = {
-        "fig12_mpki", "--workers=8", "--journal", "/tmp/j"};
-    const auto out = DistRunner::workerArgv(argv, 0);
-    const std::vector<std::string> want = {
-        "fig12_mpki", "--journal", "/tmp/j",
-        "--join",     "--worker-id", "0"};
-    EXPECT_EQ(out, want);
-}
-
-TEST(ExitCodes, WorkerHeartbeatPath)
-{
-    EXPECT_EQ(DistRunner::workerHeartbeatPath("/tmp/j", 3),
-              "/tmp/j/worker-3.heartbeat.json");
+    EXPECT_EQ(SweepRunner::exitCode(true, true), 130);
 }

@@ -395,15 +395,13 @@ struct Grid
 
 TEST(SweepResume, SiblingThreadsNeverMergeOrRerunEachOthersCells)
 {
-    // A lease-claiming sweep in ONE process: its worker threads
-    // share one claim table, so a cell a sibling committed is never
-    // merged back from the journal and never claimed a second time.
+    // A journaled sweep: its worker threads share one claim table,
+    // so a cell a sibling committed is never claimed a second time.
     const std::string dir = tempDir("sibling_claims");
     const Grid grid(100);
     SweepOptions opts;
     opts.threads = 4;
     opts.journal_dir = dir;
-    opts.dist.enabled = true;
 
     std::vector<std::atomic<int>> runs(grid.size());
     SweepRunner runner(sim::SimParams{}, opts);
@@ -415,9 +413,7 @@ TEST(SweepResume, SiblingThreadsNeverMergeOrRerunEachOthersCells)
     const auto cells = runner.run(grid.workloads, grid.policies);
 
     ASSERT_EQ(cells.size(), grid.size());
-    EXPECT_EQ(runner.stats().value("merged_cells"), 0u);
     EXPECT_EQ(runner.stats().value("completed_cells"), grid.size());
-    EXPECT_EQ(runner.stats().value("fenced_commits"), 0u);
     for (const auto &c : cells) {
         EXPECT_TRUE(c.ok()) << c.workload << "/" << c.policy;
         EXPECT_EQ(runs[grid.of(SweepRunner::CellSpec{
@@ -433,13 +429,13 @@ namespace
 {
 
 /**
- * Child-process body of the signal-drain tests: cell @p k raises
+ * Child-process body of the signal-drain test: cell @p k raises
  * SIGINT, and every cell at or after k waits for the drain to cancel
  * it. Exits 0 and prints "drain ok" only when the drain left the
  * documented state behind; otherwise prints what broke and exits 1.
  */
 void
-drainedSweep(bool distributed, const std::string &dir)
+drainedSweep(const std::string &dir)
 {
     const Grid grid(8);
     const size_t k = 3;
@@ -447,7 +443,6 @@ drainedSweep(bool distributed, const std::string &dir)
     opts.threads = 2;
     opts.journal_dir = dir;
     opts.handle_signals = true;
-    opts.dist.enabled = distributed;
 
     std::vector<std::atomic<int>> runs(grid.size());
     SweepRunner runner(sim::SimParams{}, opts);
@@ -524,16 +519,7 @@ TEST(SweepResume, SignalDrainLabelsEveryUnfinishedCell)
     // child so later tests in this binary still run.
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     const std::string dir = tempDir("drain_local");
-    EXPECT_EXIT(drainedSweep(false, dir),
-                ::testing::ExitedWithCode(0), "drain ok");
-    fs::remove_all(dir);
-}
-
-TEST(SweepResume, SignalDrainLabelsEveryUnfinishedCellDistributed)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    const std::string dir = tempDir("drain_dist");
-    EXPECT_EXIT(drainedSweep(true, dir),
+    EXPECT_EXIT(drainedSweep(dir),
                 ::testing::ExitedWithCode(0), "drain ok");
     fs::remove_all(dir);
 }

@@ -135,21 +135,20 @@ TEST(SweepRunner, ResultsInvariantToThreadCount)
 {
     sim::SimParams params;
     params.seed = 7;
-    auto run_with = [&](size_t threads, bool distributed) {
+    auto run_with = [&](size_t threads, bool journaled) {
         SweepOptions opts;
         opts.threads = threads;
         opts.stable_telemetry = true;
-        if (distributed) {
-            // Lease claims over a fresh journal.
-            opts.dist.enabled = true;
-            opts.journal_dir = tempJsonPath("invariant_dist");
+        if (journaled) {
+            // Claims and commits through a fresh journal.
+            opts.journal_dir = tempJsonPath("invariant_journal");
             std::filesystem::remove_all(opts.journal_dir);
         }
         SweepRunner runner(params, opts);
         runner.setCellFn(fakeRun);
         const auto cells =
             runner.run({"w1", "w2", "w3"}, {"LRU", "RLR"});
-        if (distributed)
+        if (journaled)
             std::filesystem::remove_all(opts.journal_dir);
         return cells;
     };
@@ -161,7 +160,8 @@ TEST(SweepRunner, ResultsInvariantToThreadCount)
         EXPECT_EQ(serial[i].result.llc_demand_hits,
                   parallel[i].result.llc_demand_hits);
     }
-    // The lease path exports the same bytes at any thread count.
+    // The journaled path exports the same bytes at any thread
+    // count.
     const std::string reference = SweepRunner::toJson(serial);
     for (const size_t threads : {1, 4}) {
         EXPECT_EQ(SweepRunner::toJson(run_with(threads, true)),

@@ -4,46 +4,18 @@
 
 #include <atomic>
 #include <numeric>
+#include <string>
+#include <vector>
 #include <stdexcept>
 
 #include "util/thread_pool.hh"
 
-using rlr::util::ThreadPool;
-
-TEST(ThreadPool, SubmitReturnsResult)
-{
-    ThreadPool pool(2);
-    auto fut = pool.submit([] { return 21 * 2; });
-    EXPECT_EQ(fut.get(), 42);
-}
-
-TEST(ThreadPool, ManyTasksAllRun)
-{
-    ThreadPool pool(4);
-    std::atomic<int> counter{0};
-    std::vector<std::future<void>> futs;
-    for (int i = 0; i < 200; ++i)
-        futs.push_back(pool.submit([&] { ++counter; }));
-    for (auto &f : futs)
-        f.get();
-    EXPECT_EQ(counter.load(), 200);
-}
-
-TEST(ThreadPool, WaitIdleDrains)
-{
-    ThreadPool pool(2);
-    std::atomic<int> counter{0};
-    for (int i = 0; i < 50; ++i)
-        pool.submit([&] { ++counter; });
-    pool.waitIdle();
-    EXPECT_EQ(counter.load(), 50);
-}
+using rlr::util::parallelFor;
 
 TEST(ThreadPool, ParallelForCoversAllIndices)
 {
     std::vector<int> hits(1000, 0);
-    ThreadPool::parallelFor(hits.size(), 8,
-                            [&](size_t i) { hits[i] += 1; });
+    parallelFor(hits.size(), 8, [&](size_t i) { hits[i] += 1; });
     EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 1000);
     for (const auto h : hits)
         EXPECT_EQ(h, 1);
@@ -52,8 +24,7 @@ TEST(ThreadPool, ParallelForCoversAllIndices)
 TEST(ThreadPool, ParallelForSingleThreadFallback)
 {
     std::vector<int> hits(10, 0);
-    ThreadPool::parallelFor(hits.size(), 1,
-                            [&](size_t i) { hits[i] += 1; });
+    parallelFor(hits.size(), 1, [&](size_t i) { hits[i] += 1; });
     for (const auto h : hits)
         EXPECT_EQ(h, 1);
 }
@@ -61,7 +32,7 @@ TEST(ThreadPool, ParallelForSingleThreadFallback)
 TEST(ThreadPool, ParallelForEmpty)
 {
     // Must not hang or crash.
-    ThreadPool::parallelFor(0, 4, [](size_t) { FAIL(); });
+    parallelFor(0, 4, [](size_t) { FAIL(); });
 }
 
 TEST(ThreadPool, ParallelForRethrowsFirstException)
@@ -70,7 +41,7 @@ TEST(ThreadPool, ParallelForRethrowsFirstException)
     // std::terminate; it must surface on join instead.
     std::atomic<int> ran{0};
     try {
-        ThreadPool::parallelFor(64, 4, [&](size_t i) {
+        parallelFor(64, 4, [&](size_t i) {
             if (i == 5)
                 throw std::runtime_error("cell 5 exploded");
             ++ran;
@@ -89,14 +60,12 @@ TEST(ThreadPool, ParallelForRethrowsFirstException)
 TEST(ThreadPool, ParallelForSingleThreadPropagates)
 {
     std::atomic<int> ran{0};
-    EXPECT_THROW(ThreadPool::parallelFor(10, 1,
-                                         [&](size_t i) {
-                                             if (i == 3)
-                                                 throw std::
-                                                     logic_error(
-                                                         "boom");
-                                             ++ran;
-                                         }),
+    EXPECT_THROW(parallelFor(10, 1,
+                             [&](size_t i) {
+                                 if (i == 3)
+                                     throw std::logic_error("boom");
+                                 ++ran;
+                             }),
                  std::logic_error);
     EXPECT_EQ(ran.load(), 3);
 }
@@ -108,7 +77,7 @@ TEST(ThreadPool, ParallelForAggregatesConcurrentFailures)
     // in flight when the first failure is recorded.
     std::atomic<int> arrived{0};
     try {
-        ThreadPool::parallelFor(2, 2, [&](size_t i) {
+        parallelFor(2, 2, [&](size_t i) {
             arrived.fetch_add(1);
             while (arrived.load() < 2) {
             }
@@ -133,7 +102,7 @@ TEST(ThreadPool, ParallelForAggregatesConcurrentFailures)
 
 TEST(ThreadPool, ParallelForNonStdExceptionPropagates)
 {
-    EXPECT_THROW(ThreadPool::parallelFor(
+    EXPECT_THROW(parallelFor(
                      8, 2, [](size_t i) {
                          if (i == 0)
                              throw 42; // not derived from std::exception

@@ -15,8 +15,7 @@
  * spots). --check-trace verifies a Chrome trace_event JSON file
  * is structurally valid for chrome://tracing / Perfetto.
  * --journal summarizes a sweep journal directory (header
- * identity, per-cell record status, in-flight markers, and live
- * cell leases with their owner/fence/expiry — see
+ * identity, per-cell record status and in-flight markers — see
  * docs/ROBUSTNESS.md).
  * --top follows a sweep's --heartbeat file like `top(1)`,
  * redrawing per-worker status until the sweep reports done.
@@ -86,8 +85,8 @@ main(int argc, char **argv)
     parser.addOption("journal", "",
                      "Summarize a sweep journal directory "
                      "(--journal output of any bench binary): "
-                     "header identity, per-cell records, and "
-                     "live cell leases with owner and expiry");
+                     "header identity, per-cell records and "
+                     "in-flight markers");
     parser.addOption("top", "",
                      "Follow a sweep heartbeat file (--heartbeat "
                      "output of any bench binary) as a live "
