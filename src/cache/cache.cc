@@ -121,13 +121,16 @@ Cache::runPrefetcher(const MemRequest &req, bool hit, uint64_t now)
 {
     if (!prefetcher_ || in_prefetch_)
         return;
-    std::vector<PrefetchRequest> proposals;
-    prefetcher_->observe(req.pc, req.address, hit, proposals);
-    if (proposals.empty())
+    // Reusing one buffer is safe: in_prefetch_ keeps the access(pf)
+    // below from re-entering this cache's runPrefetcher while the
+    // loop still reads it.
+    pf_proposals_.clear();
+    prefetcher_->observe(req.pc, req.address, hit, pf_proposals_);
+    if (pf_proposals_.empty())
         return;
 
     in_prefetch_ = true;
-    for (const auto &p : proposals) {
+    for (const auto &p : pf_proposals_) {
         const uint64_t line = CacheGeometry::lineAddress(p.address);
         const uint32_t set = geom_.setIndex(line);
         if (lookup(set, geom_.tag(line)) != kNoWay)
@@ -448,19 +451,22 @@ Cache::flush()
 uint64_t
 Cache::demandAccesses() const
 {
-    return stats_.value("LD_access") + stats_.value("RFO_access");
+    return *type_access_[static_cast<size_t>(trace::AccessType::Load)] +
+           *type_access_[static_cast<size_t>(trace::AccessType::Rfo)];
 }
 
 uint64_t
 Cache::demandHits() const
 {
-    return stats_.value("LD_hit") + stats_.value("RFO_hit");
+    return *type_hit_[static_cast<size_t>(trace::AccessType::Load)] +
+           *type_hit_[static_cast<size_t>(trace::AccessType::Rfo)];
 }
 
 uint64_t
 Cache::demandMisses() const
 {
-    return stats_.value("LD_miss") + stats_.value("RFO_miss");
+    return *type_miss_[static_cast<size_t>(trace::AccessType::Load)] +
+           *type_miss_[static_cast<size_t>(trace::AccessType::Rfo)];
 }
 
 uint64_t

@@ -243,6 +243,8 @@ class Cache : public MemoryLevel
         inflight_;
     /** Guard against recursive prefetch issue. */
     bool in_prefetch_ = false;
+    /** Reusable prefetcher output, cleared before each observe(). */
+    std::vector<PrefetchRequest> pf_proposals_;
 
     stats::StatSet stats_;
     /**

@@ -18,6 +18,7 @@ O3Core::O3Core(CoreConfig config, uint8_t cpu_id,
     util::ensure(config_.width > 0 && config_.rob_size > 0,
                  "O3Core: bad config");
     reg_ready_.fill(0);
+    rob_.resize(config_.rob_size);
 }
 
 void
@@ -39,7 +40,7 @@ O3Core::fetch(uint64_t pc)
     // beyond that starves dispatch.
     const uint64_t hidden = cycle_ + config_.hidden_fetch_latency;
     if (ready > hidden) {
-        stats_.counter("fetch_stall_cycles") += ready - hidden;
+        fetch_stall_cycles_.get() += ready - hidden;
         cycle_ = ready - config_.hidden_fetch_latency;
     }
 }
@@ -47,15 +48,17 @@ O3Core::fetch(uint64_t pc)
 void
 O3Core::makeRoomInRob()
 {
-    if (rob_.size() < config_.rob_size)
+    if (rob_count_ < config_.rob_size)
         return;
     // In-order retirement: dispatch of a new instruction into a
     // full ROB waits for the head to complete. Retire bandwidth is
     // folded into the dispatch width (both are `width`).
-    const uint64_t head_done = rob_.front();
-    rob_.pop_front();
+    const uint64_t head_done = rob_[rob_head_];
+    if (++rob_head_ == config_.rob_size)
+        rob_head_ = 0;
+    --rob_count_;
     if (head_done > cycle_) {
-        stats_.counter("rob_stall_cycles") += head_done - cycle_;
+        rob_stall_cycles_.get() += head_done - cycle_;
         cycle_ = head_done;
     }
 }
@@ -64,7 +67,7 @@ void
 O3Core::step(const trace::Instruction &instr)
 {
     ++instructions_;
-    ++stats_.counter("instructions");
+    ++instructions_stat_.get();
 
     fetch(instr.pc);
     makeRoomInRob();
@@ -79,10 +82,10 @@ O3Core::step(const trace::Instruction &instr)
     uint64_t completion = exec_start + 1;
     switch (instr.kind) {
       case trace::InstrKind::Alu:
-        ++stats_.counter("alu_ops");
+        ++alu_ops_.get();
         break;
       case trace::InstrKind::Load: {
-        ++stats_.counter("loads");
+        ++loads_.get();
         cache::MemRequest req;
         req.address = instr.mem_addr;
         req.pc = instr.pc;
@@ -92,7 +95,7 @@ O3Core::step(const trace::Instruction &instr)
         break;
       }
       case trace::InstrKind::Store: {
-        ++stats_.counter("stores");
+        ++stores_.get();
         cache::MemRequest req;
         req.address = instr.mem_addr;
         req.pc = instr.pc;
@@ -105,18 +108,17 @@ O3Core::step(const trace::Instruction &instr)
         break;
       }
       case trace::InstrKind::Branch: {
-        ++stats_.counter("branches");
+        ++branches_.get();
         const bool correct =
             bp_.predictAndUpdate(instr.pc, instr.branch_taken);
         if (!correct) {
-            ++stats_.counter("branch_mispredicts");
+            ++branch_mispredicts_.get();
             // Redirect: the front end refills after the branch
             // resolves.
             const uint64_t redo =
                 completion + config_.mispredict_penalty;
             if (redo > cycle_) {
-                stats_.counter("mispredict_stall_cycles") +=
-                    redo - cycle_;
+                mispredict_stall_cycles_.get() += redo - cycle_;
                 cycle_ = redo;
             }
             last_fetch_line_ = ~0ULL;
@@ -127,7 +129,11 @@ O3Core::step(const trace::Instruction &instr)
 
     if (instr.dest_reg != trace::kNoReg)
         reg_ready_[instr.dest_reg] = completion;
-    rob_.push_back(std::max(completion, cycle_));
+    uint32_t tail = rob_head_ + rob_count_;
+    if (tail >= config_.rob_size)
+        tail -= config_.rob_size;
+    rob_[tail] = std::max(completion, cycle_);
+    ++rob_count_;
 
     // Dispatch width: `width` instructions enter per cycle.
     if (++width_slot_ >= config_.width) {
@@ -176,8 +182,11 @@ O3Core::measuredCycles() const
 {
     // Account for still-in-flight work at the measurement edge.
     uint64_t end = cycle_;
-    for (const auto c : rob_)
-        end = std::max(end, c);
+    for (uint32_t k = 0, i = rob_head_; k < rob_count_; ++k) {
+        end = std::max(end, rob_[i]);
+        if (++i == config_.rob_size)
+            i = 0;
+    }
     return end - measure_start_cycle_;
 }
 
@@ -209,9 +218,8 @@ O3Core::describeStats(stats::Registry &reg,
     reg.formula(
         prefix + ".branch_mispredict_rate",
         [this](const stats::Registry &) {
-            return stats::hitRate(
-                stats_.value("branch_mispredicts"),
-                stats_.value("branches"));
+            return stats::hitRate(branch_mispredicts_.value(),
+                                  branches_.value());
         },
         "mispredicted fraction of measured branches");
 }

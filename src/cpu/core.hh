@@ -17,7 +17,8 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
+#include <string>
+#include <vector>
 
 #include "cache/memory_interface.hh"
 #include "cpu/branch_predictor.hh"
@@ -73,8 +74,9 @@ class O3Core
     /**
      * Attach a cooperative cancellation token polled by run()
      * (borrowed; null detaches — the default, whose only cost is
-     * one predicted branch per checkpoint, bounded <1% by
-     * test_cancel_token).
+     * one predicted branch per checkpoint). run() polls it once
+     * per kCancelCheckInterval instructions, which
+     * test_cancel_token pins by instruction count.
      */
     void
     setCancelToken(const util::CancelToken *token)
@@ -135,8 +137,14 @@ class O3Core
     uint64_t instructions_ = 0;
     uint32_t width_slot_ = 0;
     uint64_t last_fetch_line_ = ~0ULL;
-    /** Completion cycles of in-flight instructions (FIFO = ROB). */
-    std::deque<uint64_t> rob_;
+    /**
+     * Completion cycles of in-flight instructions: a fixed ring of
+     * rob_size entries holding rob_count_ live ones from rob_head_
+     * (oldest) on, so dispatch and retire never allocate.
+     */
+    std::vector<uint64_t> rob_;
+    uint32_t rob_head_ = 0;
+    uint32_t rob_count_ = 0;
     /** Ready cycle of each architectural register. */
     std::array<uint64_t, trace::kNumRegs> reg_ready_{};
 
@@ -144,6 +152,20 @@ class O3Core
     uint64_t measure_start_cycle_ = 0;
 
     stats::StatSet stats_;
+    // Per-instruction counters, registered in stats_ on first
+    // touch (see stats::LazyCounter).
+    stats::LazyCounter instructions_stat_{stats_, "instructions"};
+    stats::LazyCounter alu_ops_{stats_, "alu_ops"};
+    stats::LazyCounter loads_{stats_, "loads"};
+    stats::LazyCounter stores_{stats_, "stores"};
+    stats::LazyCounter branches_{stats_, "branches"};
+    stats::LazyCounter branch_mispredicts_{stats_,
+                                           "branch_mispredicts"};
+    stats::LazyCounter fetch_stall_cycles_{stats_,
+                                           "fetch_stall_cycles"};
+    stats::LazyCounter rob_stall_cycles_{stats_, "rob_stall_cycles"};
+    stats::LazyCounter mispredict_stall_cycles_{
+        stats_, "mispredict_stall_cycles"};
 };
 
 } // namespace rlr::cpu

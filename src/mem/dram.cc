@@ -23,10 +23,10 @@ Dram::access(const cache::MemRequest &req, uint64_t now)
     const bool row_hit = bank.open_row == row;
     const uint32_t service = row_hit ? config_.row_hit_latency
                                      : config_.row_miss_latency;
-    ++stats_.counter(row_hit ? "row_hits" : "row_misses");
+    ++(row_hit ? row_hits_ : row_misses_).get();
 
     if (req.type == trace::AccessType::Writeback) {
-        ++stats_.counter("writes");
+        ++writes_.get();
         // Posted write: buffered in the write queue and drained
         // opportunistically in row-sorted batches (as real
         // controllers do), so it charges channel bandwidth but
@@ -48,7 +48,7 @@ Dram::access(const cache::MemRequest &req, uint64_t now)
     bank.busy_until = done;
     channel_free_ = start + config_.channel_cycles;
 
-    ++stats_.counter("reads");
+    ++reads_.get();
     read_latency_.sample(done - now);
     return done;
 }
@@ -61,8 +61,8 @@ Dram::describeStats(stats::Registry &reg, const std::string &prefix)
     reg.formula(
         prefix + ".row_hit_rate",
         [this](const stats::Registry &) {
-            const auto hits = stats_.value("row_hits");
-            const auto misses = stats_.value("row_misses");
+            const auto hits = row_hits_.value();
+            const auto misses = row_misses_.value();
             return stats::hitRate(hits, hits + misses);
         },
         "open-row hit rate in [0, 1]");

@@ -85,6 +85,13 @@ class Dram : public cache::MemoryLevel
     std::vector<Bank> banks_;
     uint64_t channel_free_ = 0;
     stats::StatSet stats_;
+    // Per-access counters, registered in stats_ on first touch
+    // (see stats::LazyCounter): a read-only stream exports no
+    // "writes" key.
+    stats::LazyCounter row_hits_{stats_, "row_hits"};
+    stats::LazyCounter row_misses_{stats_, "row_misses"};
+    stats::LazyCounter reads_{stats_, "reads"};
+    stats::LazyCounter writes_{stats_, "writes"};
     /** 32 x 16-cycle buckets cover hit/miss/queued latencies. */
     util::Histogram read_latency_{32, 16};
 };

@@ -20,9 +20,15 @@ namespace rlr::stats
 {
 
 /**
- * A named group of counters. Registration is by string name;
- * lookups during simulation use direct references, so the map is
- * only touched at setup/dump time.
+ * A named group of counters, registered by string name.
+ *
+ * Rule: no per-instruction or per-access code looks a counter up by
+ * name. Hot paths hold a `uint64_t *` to the counter instead: bound
+ * once at construction where the counter is always exported
+ * (cache::Cache), or on first touch through LazyCounter where the
+ * export must keep listing only the counters a run touched (the
+ * core and DRAM). The map is only searched at setup, first touch
+ * and dump time.
  */
 class StatSet
 {
@@ -58,6 +64,45 @@ class StatSet
     // std::map keeps iteration (and dumps) deterministically sorted,
     // and never invalidates references on insert.
     std::map<std::string, uint64_t> counters_;
+};
+
+/**
+ * One StatSet counter, registered on first touch. Until the first
+ * get() the counter does not exist in the set, so a run that never
+ * touches it exports no key for it, exactly as a direct
+ * StatSet::counter() call at the same point would behave ("+= 0"
+ * registers it too). After that, get() is one predicted branch and
+ * a pointer dereference. Not copyable: the slot points into the
+ * owning component's StatSet, so declare it after that StatSet.
+ */
+class LazyCounter
+{
+  public:
+    /** @param name must outlive the counter (a string literal) */
+    LazyCounter(StatSet &set, const char *name)
+        : set_(set), name_(name)
+    {
+    }
+
+    LazyCounter(const LazyCounter &) = delete;
+    LazyCounter &operator=(const LazyCounter &) = delete;
+
+    /** @return the counter, registering it on first use. */
+    uint64_t &
+    get()
+    {
+        if (slot_ == nullptr) [[unlikely]]
+            slot_ = &set_.counter(name_);
+        return *slot_;
+    }
+
+    /** @return the counter's value; 0 when never touched. */
+    uint64_t value() const { return slot_ == nullptr ? 0 : *slot_; }
+
+  private:
+    StatSet &set_;
+    const char *name_;
+    uint64_t *slot_ = nullptr;
 };
 
 /** Running mean/variance (Welford) for measurement summaries. */

@@ -9,10 +9,11 @@
  * instructions — and unwind by throwing CancelledError, which the
  * SweepRunner turns into a per-cell error instead of a hung or
  * torn-down sweep. The disabled path (no token attached) costs
- * one predicted branch per checkpoint. test_cancel_token checks
- * the armed path instead: a cell polling an attached, never-
- * cancelled token runs within 3% of the detached baseline
- * (skipped when the host is too noisy to judge).
+ * one predicted branch per checkpoint. test_cancel_token pins the
+ * armed path by structure rather than by wall clock: a token
+ * cancelled while instruction k is produced is seen after exactly
+ * k rounded up to a multiple of kCancelCheckInterval instructions,
+ * so the loop polls once per interval and at no other point.
  */
 
 #ifndef RLR_UTIL_CANCEL_TOKEN_HH

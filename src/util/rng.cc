@@ -21,12 +21,6 @@ splitmix64(uint64_t &x)
     return z ^ (z >> 31);
 }
 
-constexpr uint64_t
-rotl(uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(uint64_t seed)
@@ -36,55 +30,12 @@ Rng::Rng(uint64_t seed)
         w = splitmix64(s);
 }
 
-uint64_t
-Rng::next()
-{
-    const uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-    return result;
-}
-
-uint64_t
-Rng::nextBounded(uint64_t bound)
-{
-    ensure(bound > 0, "Rng::nextBounded: zero bound");
-    // Rejection sampling to avoid modulo bias.
-    const uint64_t threshold = -bound % bound;
-    for (;;) {
-        const uint64_t r = next();
-        if (r >= threshold)
-            return r % bound;
-    }
-}
-
 int64_t
 Rng::nextRange(int64_t lo, int64_t hi)
 {
     ensure(lo <= hi, "Rng::nextRange: inverted range");
     return lo + static_cast<int64_t>(
         nextBounded(static_cast<uint64_t>(hi - lo) + 1));
-}
-
-double
-Rng::nextDouble()
-{
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool
-Rng::chance(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return nextDouble() < p;
 }
 
 uint64_t
@@ -108,9 +59,24 @@ ZipfSampler::ZipfSampler(uint64_t n, double alpha)
     ensure(n > 0, "ZipfSampler: empty population");
     cdf_.resize(n);
     double acc = 0.0;
-    for (uint64_t i = 0; i < n; ++i) {
-        acc += 1.0 / std::pow(static_cast<double>(i + 1), alpha);
-        cdf_[i] = acc;
+    if (alpha == 1.0) {
+        // Exact, not an approximation: x^1 is x itself, which is
+        // representable, and pow() is accurate to well under one
+        // ulp, so pow(x, 1.0) returns x bit for bit. This loop
+        // therefore sums the same doubles in the same order as the
+        // general one below, without a pow() call per rank
+        // (test_rng checks the two CDFs bitwise). Several HotCold
+        // kernels use alpha 1.0, and every System construction
+        // rebuilds their CDFs.
+        for (uint64_t i = 0; i < n; ++i) {
+            acc += 1.0 / static_cast<double>(i + 1);
+            cdf_[i] = acc;
+        }
+    } else {
+        for (uint64_t i = 0; i < n; ++i) {
+            acc += 1.0 / std::pow(static_cast<double>(i + 1), alpha);
+            cdf_[i] = acc;
+        }
     }
     for (auto &c : cdf_)
         c /= acc;

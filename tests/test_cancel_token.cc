@@ -1,31 +1,23 @@
 /**
  * @file
- * util::CancelToken semantics, cancellation checkpoints in the
- * core run loop, and the watchdog-overhead bound: attaching a
- * (never-firing) token to a simulation measures well under 1%
- * wall clock on a quiet machine; the ctest bound allows < 3% to
- * stay robust against scheduler jitter, which on a shared host
- * is the same order as the effect (a genuinely expensive
- * checkpoint — a lock or a syscall — would blow far past it).
- * The token-attached path does strictly more work than the
- * disabled path (mask test + pointer test + atomic load vs mask
- * test + pointer test), so bounding it also bounds the disabled
- * path's overhead.
+ * util::CancelToken semantics and the cancellation checkpoints in
+ * the core run loop.
  *
- * Wall-clock measurements on shared machines are noisy, so the
- * overhead test interleaves repetitions, compares minima (the
- * classic noise-robust estimator), and SKIPs instead of failing
- * when the baseline itself is too unstable to support the claim
- * (same methodology as test_profiler_overhead).
+ * The checkpoint's cost is pinned by structure, not by wall clock:
+ * O3Core::run polls an attached token exactly once every
+ * kCancelCheckInterval instructions, so a token cancelled while
+ * instruction k is produced is seen after exactly k rounded up to
+ * the next multiple of the interval. A poll per instruction, or a
+ * missing poll, moves that count whatever the host's speed.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <chrono>
+#include <string>
 #include <thread>
-#include <vector>
 
+#include "cpu/core.hh"
 #include "sim/experiment.hh"
 #include "util/cancel_token.hh"
 
@@ -133,90 +125,98 @@ TEST(CancelToken, MidRunCancellationUnwindsPromptly)
 namespace
 {
 
-/** One timed simulation repetition. @return nanoseconds. */
-uint64_t
-simNanos(const util::CancelToken *token)
+/** Answers every access in one cycle. */
+class FlatMemory : public cache::MemoryLevel
 {
-    sim::SimParams params;
-    params.warmup_instructions = 10'000;
-    params.sim_instructions = 120'000;
-    params.cancel = token;
-    const auto start = std::chrono::steady_clock::now();
-    const auto result = sim::runSingleCore("429.mcf", params);
-    const auto end = std::chrono::steady_clock::now();
-    EXPECT_GT(result.total_instructions, 0u);
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            end - start)
-            .count());
-}
-
-/**
- * One full measurement: interleaved repetitions, min-of-reps
- * ratio, with the 10% baseline-spread noise gate. Negative
- * return means "too noisy to judge".
- */
-double
-measureRatio(const util::CancelToken *token)
-{
-    constexpr int kReps = 9;
-    std::vector<uint64_t> base, with_token;
-    for (int r = 0; r < kReps; ++r) {
-        // Interleaved so slow drift hits both variants equally.
-        base.push_back(simNanos(nullptr));
-        with_token.push_back(simNanos(token));
+  public:
+    uint64_t
+    access(const cache::MemRequest &, uint64_t now) override
+    {
+        return now + 1;
     }
 
-    const uint64_t base_min =
-        *std::min_element(base.begin(), base.end());
-    const uint64_t token_min = *std::min_element(
-        with_token.begin(), with_token.end());
-    if (base_min == 0)
-        return -1.0;
+    const std::string &name() const override { return name_; }
 
-    // Noise gate: if the baseline's own repetitions spread more
-    // than 10%, this machine cannot support a tight assertion.
-    std::sort(base.begin(), base.end());
-    const double spread =
-        static_cast<double>(base[kReps / 2] - base_min) /
-        static_cast<double>(base_min);
-    if (spread > 0.10)
-        return -1.0;
+  private:
+    std::string name_ = "flat";
+};
 
-    return static_cast<double>(token_min) /
-           static_cast<double>(base_min);
+/** ALU instructions; cancels @p token as it produces the k-th. */
+class CancellingSource : public trace::InstructionSource
+{
+  public:
+    CancellingSource(CancelToken &token, uint64_t k)
+        : token_(token), k_(k)
+    {
+    }
+
+    bool
+    next(trace::Instruction &out) override
+    {
+        out = trace::Instruction{};
+        out.pc = 0x1000;
+        out.kind = trace::InstrKind::Alu;
+        if (++produced_ == k_)
+            token_.cancel(CancelToken::Reason::Timeout);
+        return true;
+    }
+
+    void reset() override {}
+    const std::string &name() const override { return name_; }
+
+  private:
+    CancelToken &token_;
+    uint64_t k_;
+    uint64_t produced_ = 0;
+    std::string name_ = "cancelling";
+};
+
+/** @return core.instructions() when run() threw for cancel at @p k. */
+uint64_t
+instructionsAtCancel(uint64_t k)
+{
+    FlatMemory mem;
+    cpu::O3Core core(cpu::CoreConfig{}, 0, &mem, &mem);
+    CancelToken token;
+    core.setCancelToken(&token);
+    CancellingSource source(token, k);
+    try {
+        core.run(source, 64 * util::kCancelCheckInterval);
+    } catch (const CancelledError &e) {
+        EXPECT_EQ(e.reason(), CancelToken::Reason::Timeout);
+        return core.instructions();
+    }
+    ADD_FAILURE() << "run() did not throw for a cancel at " << k;
+    return core.instructions();
 }
 
 } // namespace
 
-TEST(CancelToken, CheckpointOverheadUnderThreePercent)
+TEST(CancelToken, CheckpointPollsOncePerInterval)
 {
-    // Warm caches/allocator before measuring.
-    simNanos(nullptr);
-
-    util::CancelToken token; // armed, never cancelled
-
-    // Noise only ever inflates a measured ratio, so the smallest
-    // clean measurement is the best estimate of the true cost:
-    // retry a few times and accept the first one under the bound.
-    double best = -1.0;
-    for (int attempt = 0; attempt < 5; ++attempt) {
-        if (attempt != 0) {
-            // Let a noise episode (another core's burst, a
-            // frequency transition) pass before re-measuring.
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(100));
-        }
-        const double ratio = measureRatio(&token);
-        if (ratio >= 0.0 && (best < 0.0 || ratio < best))
-            best = ratio;
-        if (best >= 0.0 && best < 1.03)
-            break;
+    // Structural replacement for a wall-clock overhead bound: the
+    // checkpoint is polled at instruction counts 0, I, 2I, ... and
+    // nowhere else (I = kCancelCheckInterval), so a cancel raised
+    // while instruction k is produced is seen after exactly
+    // ceil(k / I) * I instructions.
+    constexpr uint64_t I = util::kCancelCheckInterval;
+    for (const uint64_t k :
+         {uint64_t{1}, uint64_t{2}, I - 1, I, I + 1, 2 * I - 1,
+          5 * I, 5 * I + 7}) {
+        const uint64_t want = (k + I - 1) / I * I;
+        EXPECT_EQ(instructionsAtCancel(k), want) << "k = " << k;
     }
-    if (best < 0.0)
-        GTEST_SKIP() << "baseline too noisy for a 3% claim";
+}
 
-    EXPECT_LT(best, 1.03)
-        << "cancellation checkpoint overhead "
-        << (best - 1.0) * 100.0 << "%";
+TEST(CancelToken, DetachedTokenNeverStopsTheRun)
+{
+    // A source that cancels a token the core does not hold: the
+    // run completes every instruction.
+    FlatMemory mem;
+    cpu::O3Core core(cpu::CoreConfig{}, 0, &mem, &mem);
+    CancelToken token;
+    CancellingSource source(token, 1);
+    core.run(source, 3 * util::kCancelCheckInterval);
+    EXPECT_TRUE(token.cancelled());
+    EXPECT_EQ(core.instructions(), 3 * util::kCancelCheckInterval);
 }

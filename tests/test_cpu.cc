@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "cpu/core.hh"
 #include "trace/synthetic.hh"
 #include "trace/workloads.hh"
@@ -214,4 +217,49 @@ TEST(O3Core, MeasurementWindowExcludesWarmup)
     for (int i = 0; i < 50; ++i)
         core.step(alu());
     EXPECT_EQ(core.measuredInstructions(), 50u);
+}
+
+TEST(O3Core, CountersExportOnlyOnceTouched)
+{
+    // An ALU-only run touches no load, store or branch counter, so
+    // none of them is exported, not even as zero.
+    StubMemory mem(1);
+    O3Core core(CoreConfig{}, 0, &mem, &mem);
+    for (int i = 0; i < 1000; ++i)
+        core.step(alu());
+    std::set<std::string> keys;
+    for (const auto &[name, value] : core.statSet().items())
+        keys.insert(name);
+    EXPECT_EQ(keys.count("instructions"), 1u);
+    EXPECT_EQ(keys.count("alu_ops"), 1u);
+    for (const char *absent :
+         {"loads", "stores", "branches", "branch_mispredicts",
+          "mispredict_stall_cycles"})
+        EXPECT_EQ(keys.count(absent), 0u) << absent;
+    EXPECT_EQ(core.statSet().value("instructions"), 1000u);
+    EXPECT_EQ(core.statSet().value("alu_ops"), 1000u);
+}
+
+TEST(O3Core, FullRobWrapsAndStallsOnHead)
+{
+    // A 4-entry ROB, width 1, every access 100 cycles. The first
+    // fetch stalls dispatch to cycle 96 (100 minus the 4 hidden
+    // fetch cycles); loads 1-4 dispatch at 96-99 and complete at
+    // 196-199. Load 5 waits for the head (96 stall cycles), loads
+    // 6-8 follow it at 197-199, load 9 waits for load 5 (96 more)
+    // and load 10 completes at 397. The ring wraps twice, and
+    // measuredCycles() must see load 10, which is still in flight
+    // when dispatch has only reached cycle 298.
+    StubMemory mem(100);
+    CoreConfig cfg;
+    cfg.rob_size = 4;
+    cfg.width = 1;
+    O3Core core(cfg, 0, &mem, &mem);
+    core.beginMeasurement();
+    for (uint64_t i = 0; i < 10; ++i)
+        core.step(loadTo(static_cast<uint8_t>(2 + i % 8),
+                         0x10000 + 64 * i));
+    EXPECT_EQ(core.statSet().value("rob_stall_cycles"), 192u);
+    EXPECT_EQ(core.cycles(), 298u);
+    EXPECT_EQ(core.measuredCycles(), 397u);
 }

@@ -118,3 +118,40 @@ TEST(Dram, ReadCountsTracked)
     EXPECT_EQ(dram.statSet().value("reads"), 2u);
     EXPECT_EQ(dram.statSet().value("writes"), 1u);
 }
+
+namespace
+{
+
+bool
+hasKey(const stats::StatSet &set, const std::string &key)
+{
+    for (const auto &[name, value] : set.items()) {
+        if (name == key)
+            return true;
+    }
+    return false;
+}
+
+} // namespace
+
+TEST(Dram, CountersExportOnlyOnceTouched)
+{
+    // The export lists only counters the run touched: a read-only
+    // stream has no "writes" key (not a zero one), and fig10's
+    // golden digests depend on that.
+    Dram dram;
+    for (uint64_t a = 0; a < 64 * 64; a += 64)
+        dram.access(read(a), a);
+    EXPECT_TRUE(hasKey(dram.statSet(), "reads"));
+    EXPECT_TRUE(hasKey(dram.statSet(), "row_misses"));
+    EXPECT_TRUE(hasKey(dram.statSet(), "row_hits"));
+    EXPECT_FALSE(hasKey(dram.statSet(), "writes"));
+
+    // Zeroing keeps the touched set; the first write adds its key.
+    dram.resetStats();
+    EXPECT_TRUE(hasKey(dram.statSet(), "reads"));
+    EXPECT_EQ(dram.statSet().value("reads"), 0u);
+    dram.access(write(0), 0);
+    EXPECT_TRUE(hasKey(dram.statSet(), "writes"));
+    EXPECT_EQ(dram.statSet().value("writes"), 1u);
+}

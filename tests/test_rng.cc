@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "util/rng.hh"
 
@@ -15,6 +18,46 @@ TEST(Rng, DeterministicForSeed)
     Rng a(42), b(42);
     for (int i = 0; i < 100; ++i)
         EXPECT_EQ(a.next(), b.next());
+}
+
+// Golden first values of Rng(42), recorded before the per-draw
+// members moved inline into rng.hh. Any drift in the generator, in
+// the rejection sampling of nextBounded or in the double conversion
+// fails here before it reaches a figure digest.
+TEST(Rng, GoldenValuesSeed42)
+{
+    {
+        Rng r(42);
+        EXPECT_EQ(r.next(), 0x15780b2e0c2ec716ULL);
+        EXPECT_EQ(r.next(), 0x6104d9866d113a7eULL);
+        EXPECT_EQ(r.next(), 0xae17533239e499a1ULL);
+        EXPECT_EQ(r.next(), 0xecb8ad4703b360a1ULL);
+    }
+    {
+        Rng r(42);
+        const std::vector<uint64_t> want{26, 30, 3, 47, 16, 0, 0, 35};
+        for (const uint64_t w : want)
+            EXPECT_EQ(r.nextBounded(62), w);
+    }
+    {
+        Rng r(42);
+        const std::vector<uint64_t> want{
+            0x3fb5780b2e0c2ec0ULL, 0x3fd84136619b444eULL,
+            0x3fe5c2ea66473c93ULL, 0x3fed9715a8e0766cULL};
+        for (const uint64_t w : want) {
+            const double d = r.nextDouble();
+            uint64_t bits = 0;
+            std::memcpy(&bits, &d, sizeof(bits));
+            EXPECT_EQ(bits, w);
+        }
+    }
+    {
+        Rng r(42);
+        std::string got;
+        for (int i = 0; i < 16; ++i)
+            got += r.chance(0.3) ? '1' : '0';
+        EXPECT_EQ(got, "1000000000010000");
+    }
 }
 
 TEST(Rng, DifferentSeedsDiffer)
@@ -136,6 +179,31 @@ TEST(Zipf, SamplesWithinRange)
     Rng rng(123);
     for (int i = 0; i < 1000; ++i)
         EXPECT_LT(zipf.sample(rng), 10u);
+}
+
+TEST(Zipf, AlphaOneCdfBitwiseEqualsPowCdf)
+{
+    // ZipfSampler skips pow() when alpha is 1.0; the CDF must stay
+    // the one the pow() loop builds, bit for bit. The exponent goes
+    // through a volatile so the compiler cannot fold pow(x, 1.0) to
+    // x here and make the comparison vacuous.
+    volatile double alpha_in = 1.0;
+    const double alpha = alpha_in;
+    constexpr uint64_t n = 1u << 20;
+    std::vector<double> want(n);
+    double acc = 0.0;
+    for (uint64_t i = 0; i < n; ++i) {
+        acc += 1.0 / std::pow(static_cast<double>(i + 1), alpha);
+        want[i] = acc;
+    }
+    for (auto &c : want)
+        c /= acc;
+
+    const ZipfSampler zipf(n, 1.0);
+    ASSERT_EQ(zipf.cdf().size(), n);
+    EXPECT_EQ(std::memcmp(zipf.cdf().data(), want.data(),
+                          n * sizeof(double)),
+              0);
 }
 
 TEST(Rng, GeometricMeanApproximation)
