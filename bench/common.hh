@@ -233,12 +233,12 @@ collectedCells()
     return cells;
 }
 
-/** Robustness counters merged over every sweep in this binary. */
-inline stats::StatSet &
+/** Robustness counters summed over every sweep in this binary. */
+inline sim::SweepStats &
 sweepStats()
 {
-    static stats::StatSet set("sweep");
-    return set;
+    static sim::SweepStats sum;
+    return sum;
 }
 
 /**
@@ -274,7 +274,7 @@ runSweep(const BenchOptions &opt, const sim::SimParams &params,
 {
     sim::SweepRunner runner(params, detail::nextSweepOptions(opt));
     auto cells = runner.run(workloads, policies);
-    detail::sweepStats().merge(runner.stats());
+    detail::sweepStats() += runner.stats();
     detail::collectedCells().insert(detail::collectedCells().end(),
                                     cells.begin(), cells.end());
     return cells;
@@ -335,14 +335,23 @@ finish(const BenchOptions &opt)
             opt.chrome_trace,
             obs::chromeTraceJson(spans, "sweep"));
     }
-    const auto &robustness = detail::sweepStats();
-    if (robustness.value("retries") + robustness.value("timeouts") +
-            robustness.value("resumed_cells") +
-            robustness.value("cancelled_cells") +
-            robustness.value("reaped_markers") >
+    const sim::SweepStats &r = detail::sweepStats();
+    if (r.retries + r.timeouts + r.resumed_cells + r.cancelled_cells +
+            r.reaped_markers >
         0) {
         std::puts("\n=== Sweep robustness ===");
-        std::fputs(robustness.dump().c_str(), stdout);
+        // One "sweep.<name> <value>" line each, in name order.
+        const std::pair<const char *, uint64_t> lines[] = {
+            {"cancelled_cells", r.cancelled_cells},
+            {"completed_cells", r.completed_cells},
+            {"failed_cells", r.failed_cells},
+            {"reaped_markers", r.reaped_markers},
+            {"resumed_cells", r.resumed_cells},
+            {"retries", r.retries},
+            {"timeouts", r.timeouts}};
+        for (const auto &[name, value] : lines)
+            std::fputs(util::format("sweep.{} {}\n", name, value).c_str(),
+                       stdout);
     }
     const bool interrupted = sim::SweepRunner::interrupted();
     const bool any_failed = sim::SweepRunner::anyFailed(cells);
@@ -505,7 +514,7 @@ multicoreSweep(const BenchOptions &opt,
     sim::SweepRunner runner(opt.params,
                             detail::nextSweepOptions(opt));
     const auto sweep_cells = runner.runCells(std::move(specs));
-    detail::sweepStats().merge(runner.stats());
+    detail::sweepStats() += runner.stats();
     detail::collectedCells().insert(detail::collectedCells().end(),
                                     sweep_cells.begin(),
                                     sweep_cells.end());

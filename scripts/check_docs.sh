@@ -17,9 +17,6 @@
 #   8. the robustness layer (docs/ROBUSTNESS.md) is out of sync:
 #      a sweep robustness flag, a FaultPlan kind, a sweep.*
 #      counter, or the crash-resume harness is undocumented.
-#   9. docs/PERFORMANCE.md is out of sync: a bench/sim_throughput
-#      flag, the BENCH_sim_throughput.json export, or the CI hook
-#      is undocumented.
 #
 # Pure grep/sed over the sources: runs without a compiler, so it
 # can gate doc-only changes too. Run from the repository root.
@@ -160,24 +157,6 @@ done
 grep -q scripts/crash_resume_e2e.sh docs/ROBUSTNESS.md ||
     err "'scripts/crash_resume_e2e.sh' is not referenced in" \
         "docs/ROBUSTNESS.md"
-
-# --- 9. the LLC throughput benchmark is documented -----------------
-# Every bench/sim_throughput CLI flag must appear in
-# docs/PERFORMANCE.md, along with the JSON export's name and the
-# CI hook that writes it.
-st_flags=$(grep -o 'add\(Option\|Flag\)("[a-z-]*"' \
-               bench/sim_throughput.cc | sed 's/.*("//; s/"//')
-[ -n "$st_flags" ] ||
-    err "could not extract flags from bench/sim_throughput.cc"
-for f in $st_flags; do
-    grep -q -- "--$f" docs/PERFORMANCE.md ||
-        err "sim_throughput flag '--$f' is not documented in" \
-            "docs/PERFORMANCE.md"
-done
-for needle in BENCH_sim_throughput.json scripts/ci.sh; do
-    grep -q "$needle" docs/PERFORMANCE.md ||
-        err "'$needle' is not documented in docs/PERFORMANCE.md"
-done
 
 if [ "$fail" -ne 0 ]; then
     echo "check_docs: FAILED (see messages above)" >&2

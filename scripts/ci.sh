@@ -9,12 +9,8 @@
 # binaries, so the kill-and-resume guarantee is proven both in
 # Release and under the sanitizers. All stages must pass.
 #
-# The release stage additionally runs the LLC hot-path throughput
-# benchmark (bench/sim_throughput) and exports its per-policy
-# accesses/sec and counters to BENCH_sim_throughput.json
-# (docs/PERFORMANCE.md; the whole-System trajectory is bench/e2e),
-# and exports a self-profile of the tier-1 sweep path to
-# PROF_tier1.json (docs/OBSERVABILITY.md).
+# The release stage additionally exports a self-profile of the
+# tier-1 sweep path to PROF_tier1.json (docs/OBSERVABILITY.md).
 # Set RLR_STABLE_BENCH=1 to zero the wall-clock fields so
 # same-seed runs are byte-identical.
 #
@@ -50,18 +46,6 @@ run_crash_resume() {
     scripts/crash_resume_e2e.sh \
         --fig12-bin="$dir/bench/fig12_mpki" \
         --inspect-bin="$dir/tools/inspect"
-}
-
-run_sim_throughput() {
-    local dir="$1"
-    echo "=== ci: sim_throughput (perf trajectory) ==="
-    local stable_flag=""
-    if [ "${RLR_STABLE_BENCH:-0}" != "0" ]; then
-        stable_flag="--stable-json"
-    fi
-    # shellcheck disable=SC2086  # stable_flag is empty or one flag
-    "$dir/bench/sim_throughput" \
-        --json=BENCH_sim_throughput.json $stable_flag
 }
 
 run_profile_artifact() {
@@ -103,7 +87,6 @@ run_tsan_stage() {
 
 run_stage "release" build -DCMAKE_BUILD_TYPE=Release
 run_crash_resume "release" build
-run_sim_throughput build
 run_profile_artifact build
 
 # Sanitizer stage: RelWithDebInfo keeps line numbers in reports

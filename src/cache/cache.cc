@@ -14,11 +14,8 @@ namespace rlr::cache
 namespace
 {
 
-std::string
-typeKey(trace::AccessType type, const char *suffix)
-{
-    return std::string(trace::accessTypeName(type)) + "_" + suffix;
-}
+constexpr auto kLoad = static_cast<size_t>(trace::AccessType::Load);
+constexpr auto kRfo = static_cast<size_t>(trace::AccessType::Rfo);
 
 bool
 verifyEnvDefault()
@@ -29,11 +26,26 @@ verifyEnvDefault()
 
 } // namespace
 
+std::string
+accessConsistencyError(const CacheCounters &c)
+{
+    for (size_t i = 0; i < trace::kNumAccessTypes; ++i) {
+        if (c.hit[i] + c.miss[i] != c.access[i]) {
+            const std::string_view t =
+                trace::accessTypeName(static_cast<trace::AccessType>(i));
+            return util::format(
+                "{}_hit ({}) + {}_miss ({}) != {}_access ({})", t,
+                c.hit[i], t, c.miss[i], t, c.access[i]);
+        }
+    }
+    return "";
+}
+
 Cache::Cache(CacheGeometry geom,
              std::unique_ptr<ReplacementPolicy> policy,
              MemoryLevel *next)
     : geom_(std::move(geom)), policy_(std::move(policy)),
-      next_(next), verify_(verifyEnvDefault()), stats_(geom_.name)
+      next_(next), verify_(verifyEnvDefault())
 {
     geom_.validate();
     util::ensure(policy_ != nullptr, "Cache: null policy");
@@ -47,20 +59,6 @@ Cache::Cache(CacheGeometry geom,
     addr_.assign(lines, 0);
     ready_at_.assign(lines, 0);
     view_scratch_.resize(geom_.ways);
-    for (size_t i = 0; i < trace::kNumAccessTypes; ++i) {
-        const auto t = static_cast<trace::AccessType>(i);
-        type_access_[i] = &stats_.counter(typeKey(t, "access"));
-        type_hit_[i] = &stats_.counter(typeKey(t, "hit"));
-        type_miss_[i] = &stats_.counter(typeKey(t, "miss"));
-    }
-    mshr_stalls_ = &stats_.counter("mshr_stalls");
-    mshr_merges_ = &stats_.counter("mshr_merges");
-    evictions_ = &stats_.counter("evictions");
-    writebacks_issued_ = &stats_.counter("writebacks_issued");
-    bypasses_ = &stats_.counter("bypasses");
-    wb_bypass_denied_ = &stats_.counter("wb_bypass_denied");
-    pf_fills_skipped_ = &stats_.counter("pf_fills_skipped");
-    prefetches_issued_ = &stats_.counter("prefetches_issued");
     policy_->bind(geom_);
 }
 
@@ -111,7 +109,7 @@ Cache::mshrAdmit(uint64_t now)
         // outstanding miss to complete.
         now = std::max(now, inflight_.top());
         inflight_.pop();
-        ++*mshr_stalls_;
+        ++counters_.mshr_stalls;
     }
     return now;
 }
@@ -141,7 +139,7 @@ Cache::runPrefetcher(const MemRequest &req, bool hit, uint64_t now)
         pf.type = trace::AccessType::Prefetch;
         pf.cpu = req.cpu;
         pf.pf_confidence = static_cast<float>(p.confidence);
-        ++*prefetches_issued_;
+        ++counters_.prefetches_issued;
         access(pf, now);
     }
     in_prefetch_ = false;
@@ -175,7 +173,7 @@ Cache::access(const MemRequest &req, uint64_t now)
             // The line is still in flight: this access merges into
             // the outstanding MSHR and completes with it.
             countAccess(set, req, false);
-            ++*mshr_merges_;
+            ++counters_.mshr_merges;
             if (demand)
                 runPrefetcher(req, false, now);
             if (verify_)
@@ -240,7 +238,7 @@ Cache::access(const MemRequest &req, uint64_t now)
              /*dirty=*/writes_on_rfo_ &&
                  req.type == trace::AccessType::Rfo);
     } else {
-        ++*pf_fills_skipped_;
+        ++counters_.pf_fills_skipped;
         notifyBypass(set, req, BypassReason::LowConfidencePrefetch);
     }
 
@@ -286,14 +284,14 @@ Cache::fill(const MemRequest &req, uint64_t ready, bool dirty)
 
         if (way == ReplacementPolicy::kBypass) {
             if (req.type != trace::AccessType::Writeback) {
-                ++*bypasses_;
+                ++counters_.bypasses;
                 notifyBypass(set, req, policy_->bypassReason());
                 return false;
             }
             // The policy wanted to bypass a writeback. Dirty data
             // has nowhere else to live, so deny the bypass and
             // re-query for a real victim.
-            ++*wb_bypass_denied_;
+            ++counters_.wb_bypass_denied;
             ctx.allow_bypass = false;
             way = policy_->findVictim(ctx, views);
             if (way == ReplacementPolicy::kBypass) {
@@ -317,14 +315,14 @@ Cache::fill(const MemRequest &req, uint64_t ready, bool dirty)
                     o->onEviction(set, way, victim.address, req, prio);
             }
             policy_->onEviction(set, way, victim);
-            ++*evictions_;
+            ++counters_.evictions;
             if (victim.dirty) {
                 MemRequest wb;
                 wb.address = victim.address;
                 wb.pc = 0;
                 wb.type = trace::AccessType::Writeback;
                 wb.cpu = req.cpu;
-                ++*writebacks_issued_;
+                ++counters_.writebacks_issued;
                 next_->access(wb, ready);
             }
         }
@@ -361,7 +359,7 @@ Cache::runVerify(uint32_t set) const
 {
     const auto views = setContents(set);
     policy_->verifyInvariants(set, views);
-    const std::string err = stats::accessConsistencyError(stats_);
+    const std::string err = accessConsistencyError(counters_);
     if (!err.empty()) {
         throw std::logic_error("cache '" + geom_.name +
                                "' stats: " + err);
@@ -392,8 +390,9 @@ void
 Cache::describeStats(stats::Registry &reg,
                      const std::string &prefix)
 {
-    reg.bindStatSet(prefix, &stats_,
-                    "per-type access counters of " + geom_.name);
+    counters_.forEach([&](const char *name, const uint64_t &value) {
+        reg.bindCounter(prefix + "." + name, [&value] { return value; });
+    });
     reg.bindCounter(
         prefix + ".demand_accesses",
         [this] { return demandAccesses(); }, "LD + RFO accesses");
@@ -425,7 +424,7 @@ Cache::describeStats(stats::Registry &reg,
 void
 Cache::resetStats()
 {
-    stats_.reset();
+    counters_ = CacheCounters{};
     for (CacheObserver *o : observers_)
         o->reset();
 }
@@ -451,22 +450,19 @@ Cache::flush()
 uint64_t
 Cache::demandAccesses() const
 {
-    return *type_access_[static_cast<size_t>(trace::AccessType::Load)] +
-           *type_access_[static_cast<size_t>(trace::AccessType::Rfo)];
+    return counters_.access[kLoad] + counters_.access[kRfo];
 }
 
 uint64_t
 Cache::demandHits() const
 {
-    return *type_hit_[static_cast<size_t>(trace::AccessType::Load)] +
-           *type_hit_[static_cast<size_t>(trace::AccessType::Rfo)];
+    return counters_.hit[kLoad] + counters_.hit[kRfo];
 }
 
 uint64_t
 Cache::demandMisses() const
 {
-    return *type_miss_[static_cast<size_t>(trace::AccessType::Load)] +
-           *type_miss_[static_cast<size_t>(trace::AccessType::Rfo)];
+    return counters_.miss[kLoad] + counters_.miss[kRfo];
 }
 
 uint64_t

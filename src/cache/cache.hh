@@ -17,8 +17,10 @@
 #ifndef RLR_CACHE_CACHE_HH
 #define RLR_CACHE_CACHE_HH
 
+#include <array>
 #include <memory>
 #include <queue>
+#include <string>
 #include <vector>
 
 #include "cache/geometry.hh"
@@ -26,10 +28,72 @@
 #include "cache/observer.hh"
 #include "cache/prefetcher.hh"
 #include "cache/replacement.hh"
-#include "stats/stats.hh"
+#include "stats/registry.hh"
 
 namespace rlr::cache
 {
+
+/**
+ * One cache level's event counters, as plain integers. The
+ * per-type arrays are indexed by trace::AccessType.
+ */
+struct CacheCounters
+{
+    std::array<uint64_t, trace::kNumAccessTypes> access{};
+    std::array<uint64_t, trace::kNumAccessTypes> hit{};
+    std::array<uint64_t, trace::kNumAccessTypes> miss{};
+    uint64_t bypasses = 0;
+    uint64_t evictions = 0;
+    uint64_t mshr_merges = 0;
+    uint64_t mshr_stalls = 0;
+    uint64_t pf_fills_skipped = 0;
+    uint64_t prefetches_issued = 0;
+    uint64_t wb_bypass_denied = 0;
+    uint64_t writebacks_issued = 0;
+
+    /**
+     * Call @p fn(name, counter) for every counter, in export
+     * order: string order of the names ("LD_access" ... "WB_miss",
+     * then "bypasses" ... "writebacks_issued").
+     */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        using trace::AccessType;
+        static constexpr AccessType kTypes[] = {
+            AccessType::Load, AccessType::Prefetch, AccessType::Rfo,
+            AccessType::Writeback};
+        static constexpr const char *kNames[][3] = {
+            {"LD_access", "LD_hit", "LD_miss"},
+            {"PF_access", "PF_hit", "PF_miss"},
+            {"RFO_access", "RFO_hit", "RFO_miss"},
+            {"WB_access", "WB_hit", "WB_miss"}};
+        for (size_t k = 0; k < std::size(kTypes); ++k) {
+            const auto i = static_cast<size_t>(kTypes[k]);
+            fn(kNames[k][0], access[i]);
+            fn(kNames[k][1], hit[i]);
+            fn(kNames[k][2], miss[i]);
+        }
+        fn("bypasses", bypasses);
+        fn("evictions", evictions);
+        fn("mshr_merges", mshr_merges);
+        fn("mshr_stalls", mshr_stalls);
+        fn("pf_fills_skipped", pf_fills_skipped);
+        fn("prefetches_issued", prefetches_issued);
+        fn("wb_bypass_denied", wb_bypass_denied);
+        fn("writebacks_issued", writebacks_issued);
+    }
+};
+
+/**
+ * Internal-consistency check over the per-type access counters:
+ * for each type T in {LD, RFO, PF, WB},
+ * T_hit + T_miss == T_access must hold.
+ * @return "" when consistent, else a description of the first
+ *         violated identity
+ */
+std::string accessConsistencyError(const CacheCounters &c);
 
 /**
  * One cache level.
@@ -112,14 +176,15 @@ class Cache : public MemoryLevel
     /** Read-only views of a set's blocks (tests/diagnostics). */
     std::vector<BlockView> setContents(uint32_t set) const;
 
-    stats::StatSet &statSet() { return stats_; }
-    const stats::StatSet &statSet() const { return stats_; }
+    /** Live counters (tests and diagnostics). */
+    CacheCounters &counters() { return counters_; }
+    const CacheCounters &counters() const { return counters_; }
 
     /**
-     * Mount this cache's statistics under @p prefix in the
-     * registry: the per-type access counters, derived demand
-     * totals and hit rate, the replacement policy's storage
-     * overhead and policy-specific stats (under
+     * Bind this cache's statistics under @p prefix in the
+     * registry: every counter of CacheCounters (zeros included),
+     * derived demand totals and hit rate, the replacement
+     * policy's storage overhead and policy-specific stats (under
      * "<prefix>.policy"), and any attached prefetcher's stats
      * (under "<prefix>.prefetcher").
      */
@@ -183,14 +248,14 @@ class Cache : public MemoryLevel
     void runPrefetcher(const MemRequest &req, bool hit,
                        uint64_t now);
 
-    /** Bump the cached per-type access counters and tell the
-     *  observers about the access. */
+    /** Bump the per-type access counters and tell the observers
+     *  about the access. */
     void
     countAccess(uint32_t set, const MemRequest &req, bool hit)
     {
         const auto i = static_cast<size_t>(req.type);
-        ++*type_access_[i];
-        ++*(hit ? type_hit_ : type_miss_)[i];
+        ++counters_.access[i];
+        ++(hit ? counters_.hit : counters_.miss)[i];
         for (CacheObserver *o : observers_)
             o->onAccess(set, req, hit);
     }
@@ -246,23 +311,7 @@ class Cache : public MemoryLevel
     /** Reusable prefetcher output, cleared before each observe(). */
     std::vector<PrefetchRequest> pf_proposals_;
 
-    stats::StatSet stats_;
-    /**
-     * Cached counter references (stable for the StatSet's life):
-     * the seed implementation built two std::string keys and did
-     * two map lookups per access, which dominated the hot path.
-     */
-    uint64_t *type_access_[trace::kNumAccessTypes];
-    uint64_t *type_hit_[trace::kNumAccessTypes];
-    uint64_t *type_miss_[trace::kNumAccessTypes];
-    uint64_t *mshr_stalls_ = nullptr;
-    uint64_t *mshr_merges_ = nullptr;
-    uint64_t *evictions_ = nullptr;
-    uint64_t *writebacks_issued_ = nullptr;
-    uint64_t *bypasses_ = nullptr;
-    uint64_t *wb_bypass_denied_ = nullptr;
-    uint64_t *pf_fills_skipped_ = nullptr;
-    uint64_t *prefetches_issued_ = nullptr;
+    CacheCounters counters_;
 };
 
 } // namespace rlr::cache

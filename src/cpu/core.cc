@@ -10,8 +10,7 @@ namespace rlr::cpu
 
 O3Core::O3Core(CoreConfig config, uint8_t cpu_id,
                cache::MemoryLevel *l1i, cache::MemoryLevel *l1d)
-    : config_(config), cpu_id_(cpu_id), l1i_(l1i), l1d_(l1d),
-      stats_(util::format("cpu{}", cpu_id))
+    : config_(config), cpu_id_(cpu_id), l1i_(l1i), l1d_(l1d)
 {
     util::ensure(l1i_ != nullptr && l1d_ != nullptr,
                  "O3Core: null cache port");
@@ -40,7 +39,7 @@ O3Core::fetch(uint64_t pc)
     // beyond that starves dispatch.
     const uint64_t hidden = cycle_ + config_.hidden_fetch_latency;
     if (ready > hidden) {
-        fetch_stall_cycles_.get() += ready - hidden;
+        totals_.fetch_stall_cycles += ready - hidden;
         cycle_ = ready - config_.hidden_fetch_latency;
     }
 }
@@ -58,7 +57,7 @@ O3Core::makeRoomInRob()
         rob_head_ = 0;
     --rob_count_;
     if (head_done > cycle_) {
-        rob_stall_cycles_.get() += head_done - cycle_;
+        totals_.rob_stall_cycles += head_done - cycle_;
         cycle_ = head_done;
     }
 }
@@ -67,7 +66,6 @@ void
 O3Core::step(const trace::Instruction &instr)
 {
     ++instructions_;
-    ++instructions_stat_.get();
 
     fetch(instr.pc);
     makeRoomInRob();
@@ -82,10 +80,10 @@ O3Core::step(const trace::Instruction &instr)
     uint64_t completion = exec_start + 1;
     switch (instr.kind) {
       case trace::InstrKind::Alu:
-        ++alu_ops_.get();
+        ++totals_.alu_ops;
         break;
       case trace::InstrKind::Load: {
-        ++loads_.get();
+        ++totals_.loads;
         cache::MemRequest req;
         req.address = instr.mem_addr;
         req.pc = instr.pc;
@@ -95,7 +93,7 @@ O3Core::step(const trace::Instruction &instr)
         break;
       }
       case trace::InstrKind::Store: {
-        ++stores_.get();
+        ++totals_.stores;
         cache::MemRequest req;
         req.address = instr.mem_addr;
         req.pc = instr.pc;
@@ -108,17 +106,17 @@ O3Core::step(const trace::Instruction &instr)
         break;
       }
       case trace::InstrKind::Branch: {
-        ++branches_.get();
+        ++totals_.branches;
         const bool correct =
             bp_.predictAndUpdate(instr.pc, instr.branch_taken);
         if (!correct) {
-            ++branch_mispredicts_.get();
+            ++totals_.branch_mispredicts;
             // Redirect: the front end refills after the branch
             // resolves.
             const uint64_t redo =
                 completion + config_.mispredict_penalty;
             if (redo > cycle_) {
-                mispredict_stall_cycles_.get() += redo - cycle_;
+                totals_.mispredict_stall_cycles += redo - cycle_;
                 cycle_ = redo;
             }
             last_fetch_line_ = ~0ULL;
@@ -168,7 +166,7 @@ O3Core::beginMeasurement()
 {
     measure_start_instr_ = instructions_;
     measure_start_cycle_ = cycle_;
-    stats_.reset();
+    base_ = totals_;
 }
 
 uint64_t
@@ -203,8 +201,24 @@ void
 O3Core::describeStats(stats::Registry &reg,
                       const std::string &prefix)
 {
-    reg.bindStatSet(prefix, &stats_,
-                    "instruction-mix and stall counters");
+    // Touched counters only, in string order of their names.
+    const auto bind = [&](const char *name, const uint64_t &total,
+                          const uint64_t &base) {
+        stats::bindTouchedCounter(reg, prefix + "." + name, total, base);
+    };
+    bind("alu_ops", totals_.alu_ops, base_.alu_ops);
+    bind("branch_mispredicts", totals_.branch_mispredicts,
+         base_.branch_mispredicts);
+    bind("branches", totals_.branches, base_.branches);
+    bind("fetch_stall_cycles", totals_.fetch_stall_cycles,
+         base_.fetch_stall_cycles);
+    bind("instructions", instructions_, measure_start_instr_);
+    bind("loads", totals_.loads, base_.loads);
+    bind("mispredict_stall_cycles", totals_.mispredict_stall_cycles,
+         base_.mispredict_stall_cycles);
+    bind("rob_stall_cycles", totals_.rob_stall_cycles,
+         base_.rob_stall_cycles);
+    bind("stores", totals_.stores, base_.stores);
     reg.bindCounter(prefix + ".instructions_retired",
                     [this] { return measuredInstructions(); },
                     "instructions in the measurement window");
@@ -218,8 +232,9 @@ O3Core::describeStats(stats::Registry &reg,
     reg.formula(
         prefix + ".branch_mispredict_rate",
         [this](const stats::Registry &) {
-            return stats::hitRate(branch_mispredicts_.value(),
-                                  branches_.value());
+            return stats::hitRate(
+                totals_.branch_mispredicts - base_.branch_mispredicts,
+                totals_.branches - base_.branches);
         },
         "mispredicted fraction of measured branches");
 }

@@ -105,13 +105,14 @@ class O3Core
     /** Cycles in the measurement window. */
     uint64_t measuredCycles() const;
 
-    stats::StatSet &statSet() { return stats_; }
     const GsharePredictor &branchPredictor() const { return bp_; }
 
     /**
-     * Mount core statistics under @p prefix: instruction-mix and
-     * stall counters, measured instructions/cycles, and derived
-     * IPC and branch-misprediction rate.
+     * Bind core statistics under @p prefix: the instruction-mix
+     * and stall counters this core has touched (see Counters),
+     * measured instructions/cycles, and derived IPC and
+     * branch-misprediction rate. Call it after the run: a counter
+     * first touched later is not in the registry.
      */
     void describeStats(stats::Registry &reg,
                        const std::string &prefix);
@@ -151,21 +152,24 @@ class O3Core
     uint64_t measure_start_instr_ = 0;
     uint64_t measure_start_cycle_ = 0;
 
-    stats::StatSet stats_;
-    // Per-instruction counters, registered in stats_ on first
-    // touch (see stats::LazyCounter).
-    stats::LazyCounter instructions_stat_{stats_, "instructions"};
-    stats::LazyCounter alu_ops_{stats_, "alu_ops"};
-    stats::LazyCounter loads_{stats_, "loads"};
-    stats::LazyCounter stores_{stats_, "stores"};
-    stats::LazyCounter branches_{stats_, "branches"};
-    stats::LazyCounter branch_mispredicts_{stats_,
-                                           "branch_mispredicts"};
-    stats::LazyCounter fetch_stall_cycles_{stats_,
-                                           "fetch_stall_cycles"};
-    stats::LazyCounter rob_stall_cycles_{stats_, "rob_stall_cycles"};
-    stats::LazyCounter mispredict_stall_cycles_{
-        stats_, "mispredict_stall_cycles"};
+    /**
+     * Lifetime instruction-mix and stall counts. Every bump adds at
+     * least 1, as stats::bindTouchedCounter requires.
+     */
+    struct Counters
+    {
+        uint64_t alu_ops = 0;
+        uint64_t branch_mispredicts = 0;
+        uint64_t branches = 0;
+        uint64_t fetch_stall_cycles = 0;
+        uint64_t loads = 0;
+        uint64_t mispredict_stall_cycles = 0;
+        uint64_t rob_stall_cycles = 0;
+        uint64_t stores = 0;
+    };
+    Counters totals_;
+    /** totals_ at the last beginMeasurement(). */
+    Counters base_;
 };
 
 } // namespace rlr::cpu

@@ -8,7 +8,7 @@ namespace rlr::mem
 {
 
 Dram::Dram(DramConfig config, std::string name)
-    : config_(config), name_(std::move(name)), stats_(name_)
+    : config_(config), name_(std::move(name))
 {
     util::ensure(config_.banks > 0, "Dram: zero banks");
     banks_.resize(config_.banks);
@@ -23,10 +23,10 @@ Dram::access(const cache::MemRequest &req, uint64_t now)
     const bool row_hit = bank.open_row == row;
     const uint32_t service = row_hit ? config_.row_hit_latency
                                      : config_.row_miss_latency;
-    ++(row_hit ? row_hits_ : row_misses_).get();
+    ++(row_hit ? totals_.row_hits : totals_.row_misses);
 
     if (req.type == trace::AccessType::Writeback) {
-        ++writes_.get();
+        ++totals_.writes;
         // Posted write: buffered in the write queue and drained
         // opportunistically in row-sorted batches (as real
         // controllers do), so it charges channel bandwidth but
@@ -48,7 +48,7 @@ Dram::access(const cache::MemRequest &req, uint64_t now)
     bank.busy_until = done;
     channel_free_ = start + config_.channel_cycles;
 
-    ++reads_.get();
+    ++totals_.reads;
     read_latency_.sample(done - now);
     return done;
 }
@@ -56,13 +56,20 @@ Dram::access(const cache::MemRequest &req, uint64_t now)
 void
 Dram::describeStats(stats::Registry &reg, const std::string &prefix)
 {
-    reg.bindStatSet(prefix, &stats_,
-                    "DRAM access counters of " + name_);
+    // Touched counters only, in string order of their names.
+    const auto bind = [&](const char *name, const uint64_t &total,
+                          const uint64_t &base) {
+        stats::bindTouchedCounter(reg, prefix + "." + name, total, base);
+    };
+    bind("reads", totals_.reads, base_.reads);
+    bind("row_hits", totals_.row_hits, base_.row_hits);
+    bind("row_misses", totals_.row_misses, base_.row_misses);
+    bind("writes", totals_.writes, base_.writes);
     reg.formula(
         prefix + ".row_hit_rate",
         [this](const stats::Registry &) {
-            const auto hits = row_hits_.value();
-            const auto misses = row_misses_.value();
+            const auto hits = totals_.row_hits - base_.row_hits;
+            const auto misses = totals_.row_misses - base_.row_misses;
             return stats::hitRate(hits, hits + misses);
         },
         "open-row hit rate in [0, 1]");

@@ -47,13 +47,12 @@ class Dram : public cache::MemoryLevel
 
     const std::string &name() const override { return name_; }
 
-    stats::StatSet &statSet() { return stats_; }
-    const stats::StatSet &statSet() const { return stats_; }
-
     /**
-     * Mount DRAM statistics under @p prefix: the access counters,
-     * the derived row-hit rate, and the read-latency distribution
-     * (service time including bank/channel queuing).
+     * Bind DRAM statistics under @p prefix: the access counters
+     * this DRAM has touched (see Counters), the derived row-hit
+     * rate, and the read-latency distribution (service time
+     * including bank/channel queuing). Call it after the run: a
+     * counter first touched later is not in the registry.
      */
     void describeStats(stats::Registry &reg,
                        const std::string &prefix);
@@ -67,7 +66,7 @@ class Dram : public cache::MemoryLevel
     void
     resetStats()
     {
-        stats_.reset();
+        base_ = totals_;
         read_latency_.reset();
     }
 
@@ -84,14 +83,22 @@ class Dram : public cache::MemoryLevel
     std::string name_;
     std::vector<Bank> banks_;
     uint64_t channel_free_ = 0;
-    stats::StatSet stats_;
-    // Per-access counters, registered in stats_ on first touch
-    // (see stats::LazyCounter): a read-only stream exports no
-    // "writes" key.
-    stats::LazyCounter row_hits_{stats_, "row_hits"};
-    stats::LazyCounter row_misses_{stats_, "row_misses"};
-    stats::LazyCounter reads_{stats_, "reads"};
-    stats::LazyCounter writes_{stats_, "writes"};
+
+    /**
+     * Lifetime access counts. Every bump adds 1, as
+     * stats::bindTouchedCounter requires; a read-only stream
+     * exports no "writes" key.
+     */
+    struct Counters
+    {
+        uint64_t reads = 0;
+        uint64_t row_hits = 0;
+        uint64_t row_misses = 0;
+        uint64_t writes = 0;
+    };
+    Counters totals_;
+    /** totals_ at the last resetStats(). */
+    Counters base_;
     /** 32 x 16-cycle buckets cover hit/miss/queued latencies. */
     util::Histogram read_latency_{32, 16};
 };

@@ -1,5 +1,8 @@
 #include "obs/epoch.hh"
 
+#include <algorithm>
+#include <string_view>
+
 #include "util/logging.hh"
 
 namespace rlr::obs
@@ -70,21 +73,7 @@ EpochSampler::closeEpoch()
         return;
     cur_.occupancy = occupancy_();
     cur_.scalar = scalar_ ? scalar_() : 0;
-
-    const std::string e = "e" + std::to_string(epochs_) + "_";
-    series_.counter(e + "accesses") = cur_.accesses;
-    series_.counter(e + "misses") = cur_.misses;
-    series_.counter(e + "demand_accesses") = cur_.demand_accesses;
-    series_.counter(e + "demand_misses") = cur_.demand_misses;
-    series_.counter(e + "evictions") = cur_.evictions;
-    series_.counter(e + "bypasses") = cur_.bypasses;
-    series_.counter(e + "victim_priority_sum") =
-        cur_.victim_priority_sum;
-    series_.counter(e + "occupancy") = cur_.occupancy;
-    if (!scalar_name_.empty())
-        series_.counter(e + scalar_name_) = cur_.scalar;
-
-    ++epochs_;
+    series_.push_back(cur_);
     cur_ = EpochSample{};
 }
 
@@ -98,9 +87,8 @@ void
 EpochSampler::reset()
 {
     total_accesses_ = 0;
-    epochs_ = 0;
     cur_ = EpochSample{};
-    series_ = stats::StatSet{"epoch"};
+    series_.clear();
     victim_priority_.reset();
     heat_accesses_.reset();
     heat_misses_.reset();
@@ -118,10 +106,33 @@ EpochSampler::describeStats(stats::Registry &reg,
         prefix + ".length", [this] { return length_; },
         "epoch length in cache accesses");
     reg.bindCounter(
-        prefix + ".count", [this] { return epochs_; },
+        prefix + ".count", [this] { return uint64_t{series_.size()}; },
         "closed epochs (including a final partial one)");
-    reg.bindStatSet(prefix, &series_,
-                    "per-epoch telemetry series");
+    // Closed epochs never change, so the registry holds their
+    // values. The keys go in string order ("e10_*" before "e2_*"),
+    // the order the golden files pin.
+    using Field = uint64_t EpochSample::*;
+    std::vector<std::pair<std::string_view, Field>> fields = {
+        {"accesses", &EpochSample::accesses},
+        {"misses", &EpochSample::misses},
+        {"demand_accesses", &EpochSample::demand_accesses},
+        {"demand_misses", &EpochSample::demand_misses},
+        {"evictions", &EpochSample::evictions},
+        {"bypasses", &EpochSample::bypasses},
+        {"victim_priority_sum", &EpochSample::victim_priority_sum},
+        {"occupancy", &EpochSample::occupancy}};
+    if (!scalar_name_.empty())
+        fields.emplace_back(scalar_name_, &EpochSample::scalar);
+    std::vector<std::pair<std::string, uint64_t>> series;
+    for (size_t k = 0; k < series_.size(); ++k) {
+        for (const auto &[name, field] : fields) {
+            series.emplace_back(util::format("e{}_{}", k, name),
+                                series_[k].*field);
+        }
+    }
+    std::sort(series.begin(), series.end());
+    for (const auto &[name, value] : series)
+        reg.counter(prefix + "." + name) = value;
     reg.bindDistribution(prefix + ".victim_priority",
                          &victim_priority_,
                          "policy priority of evicted lines");

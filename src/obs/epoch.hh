@@ -27,7 +27,6 @@
 
 #include "cache/observer.hh"
 #include "stats/registry.hh"
-#include "stats/stats.hh"
 #include "trace/record.hh"
 #include "util/histogram.hh"
 
@@ -102,7 +101,7 @@ class EpochSampler final : public cache::CacheObserver
 
     uint64_t epochLength() const { return length_; }
     /** Completed epochs (incl. a finished partial tail). */
-    uint64_t epochs() const { return epochs_; }
+    uint64_t epochs() const { return series_.size(); }
 
     /** Live view of the accumulating (not yet closed) epoch. */
     const EpochSample &current() const { return cur_; }
@@ -124,15 +123,14 @@ class EpochSampler final : public cache::CacheObserver
 
     uint64_t length_;
     uint64_t total_accesses_ = 0;
-    uint64_t epochs_ = 0;
     EpochSample cur_;
 
     cache::LineCounter occupancy_;
     std::string scalar_name_;
     Provider scalar_;
 
-    /** Closed epochs as named counters ("e<k>_accesses", ...). */
-    stats::StatSet series_{"epoch"};
+    /** Closed epochs, oldest first. */
+    std::vector<EpochSample> series_;
 
     util::Histogram victim_priority_{64, 1};
     util::Histogram heat_accesses_{1, 1};

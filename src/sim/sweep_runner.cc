@@ -637,14 +637,13 @@ SweepRunner::runCells(std::vector<CellSpec> specs)
     if (opts_.progress)
         util::finishStatusLine();
 
-    sweep_stats_.reset();
-    sweep_stats_.counter("completed_cells") = completed_count;
-    sweep_stats_.counter("resumed_cells") = resumed;
-    sweep_stats_.counter("retries") = retry_count;
-    sweep_stats_.counter("timeouts") = timeout_count;
-    sweep_stats_.counter("failed_cells") = failed_count;
-    sweep_stats_.counter("cancelled_cells") = cancelled_count;
-    sweep_stats_.counter("reaped_markers") = reaped_markers;
+    sweep_stats_ = SweepStats{.completed_cells = completed_count,
+                              .resumed_cells = resumed,
+                              .retries = retry_count,
+                              .timeouts = timeout_count,
+                              .failed_cells = failed_count,
+                              .cancelled_cells = cancelled_count,
+                              .reaped_markers = reaped_markers};
 
     if (opts_.stable_telemetry) {
         // Leave only seed-determined fields in the export.

@@ -32,13 +32,13 @@
 #ifndef RLR_SIM_SWEEP_RUNNER_HH
 #define RLR_SIM_SWEEP_RUNNER_HH
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "sim/experiment.hh"
 #include "sim/fault_plan.hh"
-#include "stats/stats.hh"
 #include "util/table.hh"
 
 namespace rlr::obs
@@ -95,6 +95,35 @@ struct SweepOptions
     double heartbeat_period_s = 0.5;
 };
 
+/**
+ * Robustness counters of one sweep, exported as "sweep.<field>"
+ * (docs/ROBUSTNESS.md). reaped_markers is only non-zero in
+ * journaled runs.
+ */
+struct SweepStats
+{
+    uint64_t completed_cells = 0;
+    uint64_t resumed_cells = 0;
+    uint64_t retries = 0;
+    uint64_t timeouts = 0;
+    uint64_t failed_cells = 0;
+    uint64_t cancelled_cells = 0;
+    uint64_t reaped_markers = 0;
+
+    SweepStats &
+    operator+=(const SweepStats &o)
+    {
+        completed_cells += o.completed_cells;
+        resumed_cells += o.resumed_cells;
+        retries += o.retries;
+        timeouts += o.timeouts;
+        failed_cells += o.failed_cells;
+        cancelled_cells += o.cancelled_cells;
+        reaped_markers += o.reaped_markers;
+        return *this;
+    }
+};
+
 /** Fault-isolated parallel (workload x policy) experiment engine. */
 class SweepRunner
 {
@@ -134,13 +163,8 @@ class SweepRunner
     static uint64_t cellSeed(uint64_t master_seed,
                              const std::string &workload);
 
-    /**
-     * Robustness counters of the last runCells() call:
-     * sweep.completed_cells, sweep.resumed_cells, sweep.retries,
-     * sweep.timeouts, sweep.failed_cells, sweep.cancelled_cells,
-     * and in journaled runs sweep.reaped_markers.
-     */
-    const stats::StatSet &stats() const { return sweep_stats_; }
+    /** Robustness counters of the last runCells() call. */
+    const SweepStats &stats() const { return sweep_stats_; }
 
     /**
      * @return true when a SIGINT/SIGTERM drain interrupted the
@@ -193,7 +217,7 @@ class SweepRunner
     SimParams params_;
     SweepOptions opts_;
     CellFn cell_fn_;
-    stats::StatSet sweep_stats_{"sweep"};
+    SweepStats sweep_stats_;
 };
 
 } // namespace rlr::sim

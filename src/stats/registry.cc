@@ -56,60 +56,45 @@ Snapshot::histogram(const std::string &path) const
 }
 
 Registry::Entry &
-Registry::addEntry(const std::string &path, Kind kind,
-                   std::string description)
+Registry::addEntry(std::string path, Kind kind, std::string description)
 {
     if (path.empty())
         throw std::invalid_argument("Registry: empty stat path");
-    if (index_.count(path)) {
+    Entry &e = entries_.emplace_back();
+    e.path = std::move(path);
+    if (!index_.emplace(e.path, &e).second) {
+        const std::string dup = std::move(e.path);
+        entries_.pop_back();
         throw std::invalid_argument(util::format(
-            "Registry: duplicate stat path '{}'", path));
+            "Registry: duplicate stat path '{}'", dup));
     }
-    auto entry = std::make_unique<Entry>();
-    entry->path = path;
-    entry->description = std::move(description);
-    entry->kind = kind;
-    Entry &ref = *entry;
-    index_[path] = entry.get();
-    entries_.push_back(std::move(entry));
-    return ref;
+    e.description = std::move(description);
+    e.kind = kind;
+    return e;
 }
 
 uint64_t &
-Registry::counter(const std::string &path, std::string description)
+Registry::counter(std::string path, std::string description)
 {
-    Entry &e =
-        addEntry(path, Kind::OwnedCounter, std::move(description));
-    e.owned_counter = std::make_unique<uint64_t>(0);
-    return *e.owned_counter;
+    return addEntry(std::move(path), Kind::OwnedCounter,
+                    std::move(description))
+        .owned_counter;
 }
 
 void
-Registry::bindCounter(const std::string &path, CounterFn fn,
+Registry::bindCounter(std::string path, CounterFn fn,
                       std::string description)
 {
-    Entry &e =
-        addEntry(path, Kind::BoundCounter, std::move(description));
+    Entry &e = addEntry(std::move(path), Kind::BoundCounter,
+                        std::move(description));
     e.counter_fn = std::move(fn);
 }
 
-void
-Registry::bindStatSet(const std::string &prefix, const StatSet *set,
-                      std::string description)
-{
-    if (set == nullptr)
-        throw std::invalid_argument("Registry: null StatSet");
-    Entry &e =
-        addEntry(prefix, Kind::StatSetMount, std::move(description));
-    e.stat_set = set;
-}
-
 util::Histogram &
-Registry::distribution(const std::string &path, size_t nbuckets,
-                       uint64_t bucket_width,
-                       std::string description)
+Registry::distribution(std::string path, size_t nbuckets,
+                       uint64_t bucket_width, std::string description)
 {
-    Entry &e = addEntry(path, Kind::OwnedDistribution,
+    Entry &e = addEntry(std::move(path), Kind::OwnedDistribution,
                         std::move(description));
     e.owned_hist =
         std::make_unique<util::Histogram>(nbuckets, bucket_width);
@@ -117,22 +102,22 @@ Registry::distribution(const std::string &path, size_t nbuckets,
 }
 
 void
-Registry::bindDistribution(const std::string &path,
-                           const util::Histogram *hist,
+Registry::bindDistribution(std::string path, const util::Histogram *hist,
                            std::string description)
 {
     if (hist == nullptr)
         throw std::invalid_argument("Registry: null histogram");
-    Entry &e = addEntry(path, Kind::BoundDistribution,
+    Entry &e = addEntry(std::move(path), Kind::BoundDistribution,
                         std::move(description));
     e.bound_hist = hist;
 }
 
 void
-Registry::formula(const std::string &path, FormulaFn fn,
+Registry::formula(std::string path, FormulaFn fn,
                   std::string description)
 {
-    Entry &e = addEntry(path, Kind::Formula, std::move(description));
+    Entry &e = addEntry(std::move(path), Kind::Formula,
+                        std::move(description));
     e.formula_fn = std::move(fn);
 }
 
@@ -143,31 +128,10 @@ Registry::find(const std::string &path) const
     return it == index_.end() ? nullptr : it->second;
 }
 
-const StatSet *
-Registry::findMount(const std::string &path, std::string &leaf) const
-{
-    // A mounted set's counters live at "<prefix>.<counter>"; walk
-    // candidate prefixes from the right so the longest mount wins.
-    size_t dot = path.rfind('.');
-    while (dot != std::string::npos) {
-        const Entry *e = find(path.substr(0, dot));
-        if (e && e->kind == Kind::StatSetMount) {
-            leaf = path.substr(dot + 1);
-            return e->stat_set;
-        }
-        dot = dot == 0 ? std::string::npos
-                       : path.rfind('.', dot - 1);
-    }
-    return nullptr;
-}
-
 bool
 Registry::has(const std::string &path) const
 {
-    if (find(path))
-        return true;
-    std::string leaf;
-    return findMount(path, leaf) != nullptr;
+    return find(path) != nullptr;
 }
 
 uint64_t
@@ -176,16 +140,13 @@ Registry::counterValue(const std::string &path) const
     if (const Entry *e = find(path)) {
         switch (e->kind) {
           case Kind::OwnedCounter:
-            return *e->owned_counter;
+            return e->owned_counter;
           case Kind::BoundCounter:
             return e->counter_fn();
           default:
             return 0;
         }
     }
-    std::string leaf;
-    if (const StatSet *set = findMount(path, leaf))
-        return set->value(leaf);
     return 0;
 }
 
@@ -210,14 +171,9 @@ std::vector<std::string>
 Registry::paths() const
 {
     std::vector<std::string> out;
-    for (const auto &e : entries_) {
-        if (e->kind == Kind::StatSetMount) {
-            for (const auto &[k, _] : e->stat_set->items())
-                out.push_back(e->path + "." + k);
-        } else {
-            out.push_back(e->path);
-        }
-    }
+    out.reserve(entries_.size());
+    for (const Entry &e : entries_)
+        out.push_back(e.path);
     return out;
 }
 
@@ -225,33 +181,39 @@ Snapshot
 Registry::snapshot() const
 {
     Snapshot snap;
-    for (const auto &e : entries_) {
-        switch (e->kind) {
+    snap.counters.reserve(entries_.size());
+    for (const Entry &e : entries_) {
+        switch (e.kind) {
           case Kind::OwnedCounter:
-            snap.counters.emplace_back(e->path, *e->owned_counter);
+            snap.counters.emplace_back(e.path, e.owned_counter);
             break;
           case Kind::BoundCounter:
-            snap.counters.emplace_back(e->path, e->counter_fn());
-            break;
-          case Kind::StatSetMount:
-            for (const auto &[k, v] : e->stat_set->items())
-                snap.counters.emplace_back(e->path + "." + k, v);
+            snap.counters.emplace_back(e.path, e.counter_fn());
             break;
           case Kind::OwnedDistribution:
             snap.histograms.emplace_back(
-                e->path, HistogramData::from(*e->owned_hist));
+                e.path, HistogramData::from(*e.owned_hist));
             break;
           case Kind::BoundDistribution:
             snap.histograms.emplace_back(
-                e->path, HistogramData::from(*e->bound_hist));
+                e.path, HistogramData::from(*e.bound_hist));
             break;
           case Kind::Formula:
-            snap.formulas.emplace_back(e->path,
-                                       e->formula_fn(*this));
+            snap.formulas.emplace_back(e.path, e.formula_fn(*this));
             break;
         }
     }
     return snap;
+}
+
+void
+bindTouchedCounter(Registry &reg, std::string path,
+                   const uint64_t &total, const uint64_t &base)
+{
+    if (total > 0) {
+        reg.bindCounter(std::move(path),
+                        [&total, &base] { return total - base; });
+    }
 }
 
 } // namespace rlr::stats

@@ -6,8 +6,8 @@
  * Components register named statistics under dotted paths
  * ("llc.LD_hit", "core0.ipc", "dram.row_hits"):
  *
- *  - **counters** — owned uint64_t cells, bound callbacks pulling
- *    a live value, or a whole StatSet mounted under a prefix;
+ *  - **counters** — owned uint64_t cells, or bound callbacks
+ *    pulling a component's live plain counter;
  *  - **distributions** — util::Histogram, owned or borrowed;
  *  - **formulas** — derived doubles (hit rate, MPKI, IPC, ...)
  *    evaluated lazily against the registry, so every consumer
@@ -15,9 +15,12 @@
  *
  * A component exposes a `describeStats(Registry&, prefix)` method
  * (see cache::Cache, cpu::O3Core, mem::Dram, sim::System and the
- * ReplacementPolicy / Prefetcher hooks) that mounts its live
- * counters; `snapshot()` then freezes every value into a plain
- * Snapshot for export (stats/export.hh: JSON and text).
+ * ReplacementPolicy / Prefetcher hooks) that binds its live
+ * counters one path each. Components that export a counter only
+ * once a run has touched it decide that at describeStats time, so
+ * describeStats is called after the run; `snapshot()` then freezes
+ * every value into a plain Snapshot for export (stats/export.hh:
+ * JSON and text).
  *
  * Registration is strict: re-registering an existing path throws
  * std::invalid_argument, so two components can never silently
@@ -28,10 +31,12 @@
 #define RLR_STATS_REGISTRY_HH
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "stats/stats.hh"
@@ -101,31 +106,19 @@ class Registry
      * @return stable reference, valid for the registry's lifetime.
      * @throws std::invalid_argument on duplicate path
      */
-    uint64_t &counter(const std::string &path,
-                      std::string description = "");
+    uint64_t &counter(std::string path, std::string description = "");
 
     /** Register a counter whose value is pulled from @p fn. */
-    void bindCounter(const std::string &path, CounterFn fn,
-                     std::string description = "");
-
-    /**
-     * Mount every counter of a live StatSet under @p prefix: the
-     * set's counter "LD_hit" appears as "<prefix>.LD_hit". The set
-     * is borrowed and enumerated lazily at snapshot/lookup time,
-     * so counters the component creates later are still exported.
-     */
-    void bindStatSet(const std::string &prefix, const StatSet *set,
+    void bindCounter(std::string path, CounterFn fn,
                      std::string description = "");
 
     /** Register an owned distribution. */
-    util::Histogram &distribution(const std::string &path,
-                                  size_t nbuckets,
+    util::Histogram &distribution(std::string path, size_t nbuckets,
                                   uint64_t bucket_width,
                                   std::string description = "");
 
     /** Register a borrowed distribution (component-owned). */
-    void bindDistribution(const std::string &path,
-                          const util::Histogram *hist,
+    void bindDistribution(std::string path, const util::Histogram *hist,
                           std::string description = "");
 
     /**
@@ -134,16 +127,13 @@ class Registry
      * any counter or any formula via value(), including formulas
      * registered after it (evaluation is demand-driven).
      */
-    void formula(const std::string &path, FormulaFn fn,
+    void formula(std::string path, FormulaFn fn,
                  std::string description = "");
 
     /** @return true when @p path names any registered entry. */
     bool has(const std::string &path) const;
 
-    /**
-     * Current value of a counter (owned, bound, or inside a
-     * mounted StatSet). 0 when absent.
-     */
+    /** Current value of a counter (owned or bound). 0 when absent. */
     uint64_t counterValue(const std::string &path) const;
 
     /**
@@ -155,8 +145,7 @@ class Registry
     /** Description registered for @p path ("" when absent). */
     std::string description(const std::string &path) const;
 
-    /** Paths of every entry, in registration order (mounted
-     *  StatSets contribute their current counters). */
+    /** Paths of every entry, in registration order. */
     std::vector<std::string> paths() const;
 
     /** Freeze every value (formulas evaluated now). */
@@ -167,7 +156,6 @@ class Registry
     {
         OwnedCounter,
         BoundCounter,
-        StatSetMount,
         OwnedDistribution,
         BoundDistribution,
         Formula,
@@ -178,26 +166,36 @@ class Registry
         std::string path;
         std::string description;
         Kind kind;
-        std::unique_ptr<uint64_t> owned_counter;
+        uint64_t owned_counter = 0;
         CounterFn counter_fn;
-        const StatSet *stat_set = nullptr;
         std::unique_ptr<util::Histogram> owned_hist;
         const util::Histogram *bound_hist = nullptr;
         FormulaFn formula_fn;
     };
 
-    Entry &addEntry(const std::string &path, Kind kind,
-                    std::string description);
+    Entry &addEntry(std::string path, Kind kind, std::string description);
     const Entry *find(const std::string &path) const;
-    /** Resolve a path inside a mounted StatSet, if any. */
-    const StatSet *findMount(const std::string &path,
-                             std::string &leaf) const;
 
-    /** Registration order. */
-    std::vector<std::unique_ptr<Entry>> entries_;
+    /**
+     * Registration order. Entries are stored by value: a deque
+     * never moves them, so owned counters stay put and the index
+     * can key on a view of each entry's own path.
+     */
+    std::deque<Entry> entries_;
     /** Path -> entry, for duplicate rejection and lookup. */
-    std::map<std::string, Entry *> index_;
+    std::map<std::string_view, Entry *> index_;
 };
+
+/**
+ * Bind @p path to a counter's change since its last reset,
+ * `total - base`, if the counter has been touched; an untouched
+ * counter is not registered at all, not even as zero. Every bump
+ * of the counter must add at least 1, so that "touched since
+ * construction" is "lifetime @p total > 0". Both cells are
+ * borrowed and must outlive the registry.
+ */
+void bindTouchedCounter(Registry &reg, std::string path,
+                        const uint64_t &total, const uint64_t &base);
 
 } // namespace rlr::stats
 

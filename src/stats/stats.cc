@@ -2,58 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include "util/format.hh"
 
 namespace rlr::stats
 {
-
-StatSet::StatSet(std::string name) : name_(std::move(name)) {}
-
-uint64_t &
-StatSet::counter(const std::string &name)
-{
-    return counters_[name];
-}
-
-uint64_t
-StatSet::value(const std::string &name) const
-{
-    const auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second;
-}
-
-void
-StatSet::reset()
-{
-    for (auto &[_, v] : counters_)
-        v = 0;
-}
-
-void
-StatSet::merge(const StatSet &other)
-{
-    for (const auto &[k, v] : other.counters_)
-        counters_[k] += v;
-}
-
-std::string
-StatSet::dump() const
-{
-    std::string out;
-    for (const auto &[k, v] : counters_) {
-        if (name_.empty())
-            out += util::format("{} {}\n", k, v);
-        else
-            out += util::format("{}.{} {}\n", name_, k, v);
-    }
-    return out;
-}
-
-std::vector<std::pair<std::string, uint64_t>>
-StatSet::items() const
-{
-    return {counters_.begin(), counters_.end()};
-}
 
 void
 RunningStat::sample(double v)
@@ -80,24 +31,6 @@ double
 RunningStat::stddev() const
 {
     return std::sqrt(variance());
-}
-
-std::string
-accessConsistencyError(const StatSet &set)
-{
-    static const char *kTypes[] = {"LD", "RFO", "PF", "WB"};
-    for (const char *t : kTypes) {
-        const std::string type(t);
-        const uint64_t accesses = set.value(type + "_access");
-        const uint64_t hits = set.value(type + "_hit");
-        const uint64_t misses = set.value(type + "_miss");
-        if (hits + misses != accesses) {
-            return util::format(
-                "{}_hit ({}) + {}_miss ({}) != {}_access ({})",
-                type, hits, type, misses, type, accesses);
-        }
-    }
-    return "";
 }
 
 double

@@ -474,6 +474,27 @@ runDifferential(const DiffSpec &spec, unsigned mutate_period)
 }
 
 std::string
+counterDivergence(const cache::CacheCounters &observed,
+                  const cache::CacheCounters &detached)
+{
+    std::vector<uint64_t> detached_values;
+    detached.forEach([&](const char *, uint64_t value) {
+        detached_values.push_back(value);
+    });
+    std::string diff;
+    size_t i = 0;
+    observed.forEach([&](const char *name, uint64_t value) {
+        const uint64_t other = detached_values[i++];
+        if (value != other) {
+            diff += util::format("{}{}: observed={} detached={}",
+                                 diff.empty() ? "" : " ", name, value,
+                                 other);
+        }
+    });
+    return diff;
+}
+
+std::string
 observerEquivalenceError(const DiffSpec &spec)
 {
     const auto accesses = makeFuzzTrace(spec);
@@ -558,22 +579,11 @@ observerEquivalenceError(const DiffSpec &spec)
                             "access stream",
                             spec.policy);
 
-    const auto observed_stats = observed.statSet().items();
-    const auto detached_stats = detached.statSet().items();
-    if (observed_stats != detached_stats) {
-        std::string diff;
-        for (const auto &[name, value] : observed_stats) {
-            const uint64_t other = detached.statSet().value(name);
-            if (value != other) {
-                diff += util::format(" {}: observed={} detached={}",
-                                     name, value, other);
-            }
-        }
-        return util::format("{}: final stats diverge:{}",
-                            spec.policy,
-                            diff.empty() ? " (key sets differ)"
-                                         : diff.c_str());
-    }
+    const std::string diff =
+        counterDivergence(observed.counters(), detached.counters());
+    if (!diff.empty())
+        return util::format("{}: final stats diverge: {}", spec.policy,
+                            diff);
     return "";
 }
 

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "cache/cache.hh"
 #include "cache/replacement.hh"
 #include "core/rlr.hh"
 #include "trace/record.hh"
@@ -185,6 +186,14 @@ DiffResult runDifferential(const DiffSpec &spec,
  *         divergence
  */
 std::string observerEquivalenceError(const DiffSpec &spec);
+
+/**
+ * Every counter that differs between two caches' counters, as
+ * "<name>: observed=<a> detached=<b>" items separated by spaces.
+ * @return "" when all counters agree
+ */
+std::string counterDivergence(const cache::CacheCounters &observed,
+                              const cache::CacheCounters &detached);
 
 /**
  * Optimality invariant: the production policy's hit count on a

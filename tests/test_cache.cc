@@ -5,6 +5,7 @@
 #include "cache/cache.hh"
 #include "policies/lru.hh"
 #include "policies/rrip.hh"
+#include "stats/registry.hh"
 
 using namespace rlr;
 using namespace rlr::cache;
@@ -169,6 +170,15 @@ load(uint64_t addr, uint64_t pc = 0x400)
     return r;
 }
 
+/** Counter @p name of @p c as its describeStats export reads it. */
+uint64_t
+exported(Cache &c, const std::string &name)
+{
+    stats::Registry reg;
+    c.describeStats(reg, "c");
+    return reg.snapshot().counter("c." + name);
+}
+
 } // namespace
 
 TEST(Cache, HitAfterFill)
@@ -178,12 +188,38 @@ TEST(Cache, HitAfterFill)
             &mem);
     const uint64_t t1 = c.access(load(0x1000), 0);
     EXPECT_EQ(t1, 110u); // 10 lookup + 100 memory
-    EXPECT_EQ(c.statSet().value("LD_miss"), 1u);
+    EXPECT_EQ(exported(c, "LD_miss"), 1u);
 
     const uint64_t t2 = c.access(load(0x1000), 200);
     EXPECT_EQ(t2, 210u); // hit: lookup latency only
-    EXPECT_EQ(c.statSet().value("LD_hit"), 1u);
+    EXPECT_EQ(exported(c, "LD_hit"), 1u);
     EXPECT_TRUE(c.probe(0x1000));
+}
+
+TEST(Cache, ExportsEveryCounterInNameOrder)
+{
+    // A fresh cache exports all 20 counters, zeros included, in
+    // string order of their names, then the demand totals.
+    FakeMemory mem;
+    Cache c(smallGeometry(), std::make_unique<policies::LruPolicy>(),
+            &mem);
+    stats::Registry reg;
+    c.describeStats(reg, "c");
+    std::vector<std::string> paths;
+    for (const auto &[path, value] : reg.snapshot().counters) {
+        EXPECT_EQ(value, 0u) << path;
+        paths.push_back(path);
+    }
+    const std::vector<std::string> expected = {
+        "c.LD_access", "c.LD_hit", "c.LD_miss",
+        "c.PF_access", "c.PF_hit", "c.PF_miss",
+        "c.RFO_access", "c.RFO_hit", "c.RFO_miss",
+        "c.WB_access", "c.WB_hit", "c.WB_miss",
+        "c.bypasses", "c.evictions", "c.mshr_merges", "c.mshr_stalls",
+        "c.pf_fills_skipped", "c.prefetches_issued",
+        "c.wb_bypass_denied", "c.writebacks_issued",
+        "c.demand_accesses", "c.demand_hits", "c.demand_misses"};
+    EXPECT_EQ(paths, expected);
 }
 
 TEST(Cache, SameLineDifferentOffsetHits)
@@ -193,7 +229,7 @@ TEST(Cache, SameLineDifferentOffsetHits)
             &mem);
     c.access(load(0x1000), 0);
     c.access(load(0x103f), 1000);
-    EXPECT_EQ(c.statSet().value("LD_hit"), 1u);
+    EXPECT_EQ(exported(c, "LD_hit"), 1u);
 }
 
 TEST(Cache, MshrMergeWhileInFlight)
@@ -206,8 +242,8 @@ TEST(Cache, MshrMergeWhileInFlight)
     // with the original miss, not sooner.
     const uint64_t t2 = c.access(load(0x2000), 20);
     EXPECT_EQ(t2, ready);
-    EXPECT_EQ(c.statSet().value("mshr_merges"), 1u);
-    EXPECT_EQ(c.statSet().value("LD_miss"), 2u);
+    EXPECT_EQ(exported(c, "mshr_merges"), 1u);
+    EXPECT_EQ(exported(c, "LD_miss"), 2u);
     // Only one request reached memory.
     EXPECT_EQ(mem.requests.size(), 1u);
 }
@@ -253,7 +289,7 @@ TEST(Cache, DirtyEvictionWritesBack)
             saw_wb = true;
     }
     EXPECT_TRUE(saw_wb);
-    EXPECT_EQ(c.statSet().value("writebacks_issued"), 1u);
+    EXPECT_EQ(exported(c, "writebacks_issued"), 1u);
 }
 
 TEST(Cache, WritebackMissAllocatesWithoutFetch)
@@ -288,7 +324,7 @@ TEST(Cache, BypassPolicySkipsFill)
     for (uint64_t i = 0; i < 4; ++i)
         c.access(load(0x10000 + i * stride), i * 1000);
     c.access(load(0x10000 + 4 * stride), 10000);
-    EXPECT_EQ(c.statSet().value("bypasses"), 1u);
+    EXPECT_EQ(exported(c, "bypasses"), 1u);
     EXPECT_FALSE(c.probe(0x10000 + 4 * stride));
     // Resident lines undisturbed.
     for (uint64_t i = 0; i < 4; ++i)
@@ -378,7 +414,7 @@ TEST(Cache, VerifyRunsOnMergedAccess)
     c.setVerifyInvariants(true);
     c.access(load(0x1000), 0); // miss, data ready at 110
     c.access(load(0x1000), 5); // merges into the in-flight miss
-    EXPECT_EQ(c.statSet().value("mshr_merges"), 1u);
+    EXPECT_EQ(exported(c, "mshr_merges"), 1u);
     EXPECT_EQ(counting->calls, 2u);
 }
 
@@ -407,7 +443,7 @@ TEST(Cache, FlushInvalidatesEverything)
     c.access(load(0x1000), 0);
     c.flush();
     EXPECT_FALSE(c.probe(0x1000));
-    EXPECT_EQ(c.statSet().value("LD_access"), 0u);
+    EXPECT_EQ(exported(c, "LD_access"), 0u);
 }
 
 TEST(Cache, ResetStatsKeepsContents)
@@ -418,9 +454,9 @@ TEST(Cache, ResetStatsKeepsContents)
     c.access(load(0x1000), 0);
     c.resetStats();
     EXPECT_TRUE(c.probe(0x1000));
-    EXPECT_EQ(c.statSet().value("LD_access"), 0u);
+    EXPECT_EQ(exported(c, "LD_access"), 0u);
     c.access(load(0x1000), 1000);
-    EXPECT_EQ(c.statSet().value("LD_hit"), 1u);
+    EXPECT_EQ(exported(c, "LD_hit"), 1u);
 }
 
 TEST(Cache, MshrPressureDelaysMisses)
@@ -435,7 +471,7 @@ TEST(Cache, MshrPressureDelaysMisses)
     c.access(load(0x20000), 0);
     const uint64_t t3 = c.access(load(0x30000), 0);
     EXPECT_GT(t3, 1010u);
-    EXPECT_GE(c.statSet().value("mshr_stalls"), 1u);
+    EXPECT_GE(exported(c, "mshr_stalls"), 1u);
 }
 
 TEST(Cache, MshrReservationTracksStalledCompletion)
@@ -460,7 +496,7 @@ TEST(Cache, MshrReservationTracksStalledCompletion)
     const uint64_t t_c = c.access(load(0x30000), 20);
     EXPECT_GT(t_c, t_b);
     EXPECT_EQ(t_c, 310u);
-    EXPECT_EQ(c.statSet().value("mshr_stalls"), 2u);
+    EXPECT_EQ(exported(c, "mshr_stalls"), 2u);
 }
 
 TEST(Cache, FlushResetsPolicyMetadata)
@@ -503,8 +539,8 @@ TEST(Cache, WritebackBypassDeniedReQueriesPolicy)
     wb.type = trace::AccessType::Writeback;
     c.access(wb, 10000);
 
-    EXPECT_EQ(c.statSet().value("wb_bypass_denied"), 1u);
-    EXPECT_EQ(c.statSet().value("bypasses"), 0u);
+    EXPECT_EQ(exported(c, "wb_bypass_denied"), 1u);
+    EXPECT_EQ(exported(c, "bypasses"), 0u);
     // The denied bypass landed at the policy's chosen way 2, not
     // the old hard-coded way 0.
     EXPECT_TRUE(c.probe(0x10000 + 4 * stride));
@@ -512,7 +548,7 @@ TEST(Cache, WritebackBypassDeniedReQueriesPolicy)
     EXPECT_FALSE(c.probe(0x10000 + 2 * stride));
     // Non-writeback fills still bypass (and are counted as such).
     c.access(load(0x10000 + 5 * stride), 20000);
-    EXPECT_EQ(c.statSet().value("bypasses"), 1u);
+    EXPECT_EQ(exported(c, "bypasses"), 1u);
     EXPECT_FALSE(c.probe(0x10000 + 5 * stride));
 }
 

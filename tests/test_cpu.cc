@@ -4,6 +4,7 @@
 
 #include <set>
 #include <string>
+#include <vector>
 
 #include "cpu/core.hh"
 #include "trace/synthetic.hh"
@@ -57,6 +58,15 @@ loadTo(uint8_t dest, uint64_t addr, uint8_t src = trace::kNoReg)
     i.dest_reg = dest;
     i.src_regs[0] = src;
     return i;
+}
+
+/** Everything @p core exports under "core0" through describeStats. */
+stats::Snapshot
+exported(O3Core &core)
+{
+    stats::Registry reg;
+    core.describeStats(reg, "core0");
+    return reg.snapshot();
 }
 
 } // namespace
@@ -227,17 +237,32 @@ TEST(O3Core, CountersExportOnlyOnceTouched)
     O3Core core(CoreConfig{}, 0, &mem, &mem);
     for (int i = 0; i < 1000; ++i)
         core.step(alu());
+    const stats::Snapshot snap = exported(core);
     std::set<std::string> keys;
-    for (const auto &[name, value] : core.statSet().items())
-        keys.insert(name);
-    EXPECT_EQ(keys.count("instructions"), 1u);
-    EXPECT_EQ(keys.count("alu_ops"), 1u);
+    for (const auto &[path, value] : snap.counters)
+        keys.insert(path);
+    EXPECT_EQ(keys.count("core0.instructions"), 1u);
+    EXPECT_EQ(keys.count("core0.alu_ops"), 1u);
     for (const char *absent :
          {"loads", "stores", "branches", "branch_mispredicts",
           "mispredict_stall_cycles"})
-        EXPECT_EQ(keys.count(absent), 0u) << absent;
-    EXPECT_EQ(core.statSet().value("instructions"), 1000u);
-    EXPECT_EQ(core.statSet().value("alu_ops"), 1000u);
+        EXPECT_EQ(keys.count(std::string("core0.") + absent), 0u)
+            << absent;
+    EXPECT_EQ(snap.counter("core0.instructions"), 1000u);
+    EXPECT_EQ(snap.counter("core0.alu_ops"), 1000u);
+
+    // The measurement window zeroes the values and keeps the
+    // touched set.
+    core.beginMeasurement();
+    const stats::Snapshot after = exported(core);
+    std::vector<std::string> paths;
+    for (const auto &[path, value] : after.counters)
+        paths.push_back(path);
+    EXPECT_EQ(paths, (std::vector<std::string>{
+                         "core0.alu_ops", "core0.instructions",
+                         "core0.instructions_retired", "core0.cycles"}));
+    EXPECT_EQ(after.counter("core0.alu_ops"), 0u);
+    EXPECT_EQ(after.counter("core0.instructions"), 0u);
 }
 
 TEST(O3Core, FullRobWrapsAndStallsOnHead)
@@ -259,7 +284,7 @@ TEST(O3Core, FullRobWrapsAndStallsOnHead)
     for (uint64_t i = 0; i < 10; ++i)
         core.step(loadTo(static_cast<uint8_t>(2 + i % 8),
                          0x10000 + 64 * i));
-    EXPECT_EQ(core.statSet().value("rob_stall_cycles"), 192u);
+    EXPECT_EQ(exported(core).counter("core0.rob_stall_cycles"), 192u);
     EXPECT_EQ(core.cycles(), 298u);
     EXPECT_EQ(core.measuredCycles(), 397u);
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "mem/dram.hh"
 
 using namespace rlr;
@@ -28,6 +31,15 @@ write(uint64_t addr)
     return r;
 }
 
+/** Everything @p dram exports under "dram" through describeStats. */
+stats::Snapshot
+exported(Dram &dram)
+{
+    stats::Registry reg;
+    dram.describeStats(reg, "dram");
+    return reg.snapshot();
+}
+
 } // namespace
 
 TEST(Dram, RowMissThenRowHit)
@@ -39,8 +51,8 @@ TEST(Dram, RowMissThenRowHit)
     // Same row: hit latency, serialized behind the open bank.
     const uint64_t t2 = dram.access(read(0x10040), t1);
     EXPECT_EQ(t2, t1 + cfg.row_hit_latency);
-    EXPECT_EQ(dram.statSet().value("row_hits"), 1u);
-    EXPECT_EQ(dram.statSet().value("row_misses"), 1u);
+    EXPECT_EQ(exported(dram).counter("dram.row_hits"), 1u);
+    EXPECT_EQ(exported(dram).counter("dram.row_misses"), 1u);
 }
 
 TEST(Dram, DifferentRowsConflictOnSameBank)
@@ -76,7 +88,7 @@ TEST(Dram, PostedWritesReturnImmediately)
     Dram dram;
     const uint64_t t = dram.access(write(0x5000), 123);
     EXPECT_EQ(t, 123u);
-    EXPECT_EQ(dram.statSet().value("writes"), 1u);
+    EXPECT_EQ(exported(dram).counter("dram.writes"), 1u);
 }
 
 TEST(Dram, WritesConsumeChannelBandwidth)
@@ -115,18 +127,18 @@ TEST(Dram, ReadCountsTracked)
     dram.access(read(0), 0);
     dram.access(read(64), 0);
     dram.access(write(128), 0);
-    EXPECT_EQ(dram.statSet().value("reads"), 2u);
-    EXPECT_EQ(dram.statSet().value("writes"), 1u);
+    EXPECT_EQ(exported(dram).counter("dram.reads"), 2u);
+    EXPECT_EQ(exported(dram).counter("dram.writes"), 1u);
 }
 
 namespace
 {
 
 bool
-hasKey(const stats::StatSet &set, const std::string &key)
+hasKey(const stats::Snapshot &snap, const std::string &key)
 {
-    for (const auto &[name, value] : set.items()) {
-        if (name == key)
+    for (const auto &[path, value] : snap.counters) {
+        if (path == key)
             return true;
     }
     return false;
@@ -142,16 +154,25 @@ TEST(Dram, CountersExportOnlyOnceTouched)
     Dram dram;
     for (uint64_t a = 0; a < 64 * 64; a += 64)
         dram.access(read(a), a);
-    EXPECT_TRUE(hasKey(dram.statSet(), "reads"));
-    EXPECT_TRUE(hasKey(dram.statSet(), "row_misses"));
-    EXPECT_TRUE(hasKey(dram.statSet(), "row_hits"));
-    EXPECT_FALSE(hasKey(dram.statSet(), "writes"));
+    EXPECT_TRUE(hasKey(exported(dram), "dram.reads"));
+    EXPECT_TRUE(hasKey(exported(dram), "dram.row_misses"));
+    EXPECT_TRUE(hasKey(exported(dram), "dram.row_hits"));
+    EXPECT_FALSE(hasKey(exported(dram), "dram.writes"));
 
     // Zeroing keeps the touched set; the first write adds its key.
     dram.resetStats();
-    EXPECT_TRUE(hasKey(dram.statSet(), "reads"));
-    EXPECT_EQ(dram.statSet().value("reads"), 0u);
+    EXPECT_TRUE(hasKey(exported(dram), "dram.reads"));
+    EXPECT_EQ(exported(dram).counter("dram.reads"), 0u);
     dram.access(write(0), 0);
-    EXPECT_TRUE(hasKey(dram.statSet(), "writes"));
-    EXPECT_EQ(dram.statSet().value("writes"), 1u);
+    EXPECT_TRUE(hasKey(exported(dram), "dram.writes"));
+    EXPECT_EQ(exported(dram).counter("dram.writes"), 1u);
+
+    // Exported in string order of the names.
+    std::vector<std::string> paths;
+    for (const auto &[path, value] : exported(dram).counters)
+        paths.push_back(path);
+    EXPECT_EQ(paths,
+              (std::vector<std::string>{"dram.reads", "dram.row_hits",
+                                        "dram.row_misses",
+                                        "dram.writes"}));
 }

@@ -470,6 +470,35 @@ TEST(Epoch, ResetClearsSeries)
     EXPECT_EQ(reg.counterValue("ep.epoch.count"), 0u);
 }
 
+TEST(Epoch, SeriesExportedInKeyStringOrder)
+{
+    // Twelve closed epochs. The series is exported in string order
+    // of its keys, so e10_* and e11_* sort between e0_* and e1_*,
+    // and the scalar sorts among the fixed fields.
+    EpochSampler s(1);
+    s.attach(geom(1, 1), {});
+    s.setScalarProvider("rd", [] { return uint64_t{0}; });
+    for (int i = 0; i < 12; ++i)
+        s.onAccess(0, ofType(trace::AccessType::Load), false);
+    ASSERT_EQ(s.epochs(), 12u);
+
+    stats::Registry reg;
+    s.describeStats(reg, "p");
+    std::vector<std::string> expected = {"p.epoch.length",
+                                         "p.epoch.count"};
+    for (const char *e :
+         {"0", "10", "11", "1", "2", "3", "4", "5", "6", "7", "8", "9"})
+        for (const char *f :
+             {"accesses", "bypasses", "demand_accesses",
+              "demand_misses", "evictions", "misses", "occupancy", "rd",
+              "victim_priority_sum"})
+            expected.push_back(std::string("p.epoch.e") + e + "_" + f);
+    std::vector<std::string> keys;
+    for (const auto &[path, value] : reg.snapshot().counters)
+        keys.push_back(path);
+    EXPECT_EQ(keys, expected);
+}
+
 TEST(Epoch, RejectsZeroLength)
 {
     EXPECT_DEATH(EpochSampler(0), "epoch");

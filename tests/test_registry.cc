@@ -47,24 +47,6 @@ TEST(Registry, BoundCounterPullsLiveValue)
     EXPECT_EQ(reg.snapshot().counter("dram.reads"), 42u);
 }
 
-TEST(Registry, StatSetMountIsLazy)
-{
-    stats::StatSet set("LLC");
-    Registry reg;
-    reg.bindStatSet("llc", &set);
-    set.counter("LD_hit") = 7;
-    // Counter created *after* the mount still resolves.
-    EXPECT_EQ(reg.counterValue("llc.LD_hit"), 7u);
-    EXPECT_TRUE(reg.has("llc.LD_hit"));
-    set.counter("LD_miss") = 2;
-    const Snapshot snap = reg.snapshot();
-    EXPECT_EQ(snap.counter("llc.LD_hit"), 7u);
-    EXPECT_EQ(snap.counter("llc.LD_miss"), 2u);
-    // Dotted counter names inside the set survive the mount.
-    set.counter("deep.nested") = 1;
-    EXPECT_EQ(reg.counterValue("llc.deep.nested"), 1u);
-}
-
 TEST(Registry, FormulaReadsCountersAndFormulas)
 {
     Registry reg;

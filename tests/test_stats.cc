@@ -6,49 +6,6 @@
 
 using namespace rlr::stats;
 
-TEST(StatSet, CounterRegistrationAndStability)
-{
-    StatSet s("llc");
-    uint64_t &hits = s.counter("hits");
-    hits = 5;
-    uint64_t &again = s.counter("hits");
-    EXPECT_EQ(&hits, &again);
-    EXPECT_EQ(s.value("hits"), 5u);
-    EXPECT_EQ(s.value("unknown"), 0u);
-}
-
-TEST(StatSet, ReferenceStableAcrossInserts)
-{
-    StatSet s;
-    uint64_t &a = s.counter("a");
-    a = 1;
-    // Inserting many more counters must not invalidate `a`.
-    for (int i = 0; i < 100; ++i)
-        s.counter("x" + std::to_string(i)) = 1;
-    a = 42;
-    EXPECT_EQ(s.value("a"), 42u);
-}
-
-TEST(StatSet, ResetAndMerge)
-{
-    StatSet a("x"), b("x");
-    a.counter("n") = 3;
-    b.counter("n") = 4;
-    b.counter("m") = 1;
-    a.merge(b);
-    EXPECT_EQ(a.value("n"), 7u);
-    EXPECT_EQ(a.value("m"), 1u);
-    a.reset();
-    EXPECT_EQ(a.value("n"), 0u);
-}
-
-TEST(StatSet, DumpFormat)
-{
-    StatSet s("core");
-    s.counter("cycles") = 10;
-    EXPECT_EQ(s.dump(), "core.cycles 10\n");
-}
-
 TEST(RunningStat, Moments)
 {
     RunningStat r;

@@ -103,8 +103,8 @@ TEST(SweepResume, FullResumeSkipsEveryCellByteIdentically)
     const auto cells1 =
         first.run({"w1", "w2"}, {"LRU", "RLR"});
     EXPECT_EQ(runs.load(), 4);
-    EXPECT_EQ(first.stats().value("completed_cells"), 4u);
-    EXPECT_EQ(first.stats().value("resumed_cells"), 0u);
+    EXPECT_EQ(first.stats().completed_cells, 4u);
+    EXPECT_EQ(first.stats().resumed_cells, 0u);
 
     SweepRunner second(params, opts);
     second.setCellFn(counting);
@@ -112,7 +112,7 @@ TEST(SweepResume, FullResumeSkipsEveryCellByteIdentically)
         second.run({"w1", "w2"}, {"LRU", "RLR"});
     // Every cell served from the journal: zero re-execution.
     EXPECT_EQ(runs.load(), 4);
-    EXPECT_EQ(second.stats().value("resumed_cells"), 4u);
+    EXPECT_EQ(second.stats().resumed_cells, 4u);
     for (const auto &c : cells2)
         EXPECT_TRUE(c.resumed) << c.workload << "/" << c.policy;
 
@@ -151,7 +151,7 @@ TEST(SweepResume, PartialResumeRerunsOnlyTheMissingCell)
     second.setCellFn(counting);
     const auto cells2 = second.run({"w1", "w2", "w3"}, {"LRU"});
     EXPECT_EQ(runs.load(), 4); // exactly one cell re-ran
-    EXPECT_EQ(second.stats().value("resumed_cells"), 2u);
+    EXPECT_EQ(second.stats().resumed_cells, 2u);
     EXPECT_TRUE(cells2[0].resumed);
     EXPECT_FALSE(cells2[1].resumed);
     EXPECT_TRUE(cells2[2].resumed);
@@ -177,8 +177,8 @@ TEST(SweepResume, TransientFaultRetriesThenSucceeds)
     EXPECT_EQ(cells[0].attempts, 3u); // 2 failures + 1 success
     EXPECT_GT(cells[0].retry_wait_s, 0.0);
     EXPECT_EQ(cells[1].attempts, 1u);
-    EXPECT_EQ(runner.stats().value("retries"), 2u);
-    EXPECT_EQ(runner.stats().value("failed_cells"), 0u);
+    EXPECT_EQ(runner.stats().retries, 2u);
+    EXPECT_EQ(runner.stats().failed_cells, 0u);
 }
 
 TEST(SweepResume, TransientFaultExhaustsRetriesAndFails)
@@ -198,8 +198,8 @@ TEST(SweepResume, TransientFaultExhaustsRetriesAndFails)
     EXPECT_NE(cells[0].error.find("transient"),
               std::string::npos);
     EXPECT_EQ(cells[0].attempts, 2u);
-    EXPECT_EQ(runner.stats().value("retries"), 1u);
-    EXPECT_EQ(runner.stats().value("failed_cells"), 1u);
+    EXPECT_EQ(runner.stats().retries, 1u);
+    EXPECT_EQ(runner.stats().failed_cells, 1u);
 }
 
 TEST(SweepResume, NonRetryableFaultFailsWithoutRetry)
@@ -215,7 +215,7 @@ TEST(SweepResume, NonRetryableFaultFailsWithoutRetry)
     ASSERT_EQ(cells.size(), 1u);
     EXPECT_EQ(cells[0].error, "injected fault: throw");
     EXPECT_EQ(cells[0].attempts, 1u); // plain throws never retry
-    EXPECT_EQ(runner.stats().value("retries"), 0u);
+    EXPECT_EQ(runner.stats().retries, 0u);
 }
 
 TEST(SweepResume, WatchdogReapsHungCellWhileOthersComplete)
@@ -240,8 +240,8 @@ TEST(SweepResume, WatchdogReapsHungCellWhileOthersComplete)
               "timeout: attempt exceeded --cell-timeout 0.2s");
     EXPECT_TRUE(cells[1].ok()) << cells[1].error;
     EXPECT_TRUE(cells[2].ok()) << cells[2].error;
-    EXPECT_EQ(runner.stats().value("timeouts"), 1u);
-    EXPECT_EQ(runner.stats().value("failed_cells"), 1u);
+    EXPECT_EQ(runner.stats().timeouts, 1u);
+    EXPECT_EQ(runner.stats().failed_cells, 1u);
 }
 
 TEST(SweepResume, TimeoutIsRetriedWhenRetriesAllowed)
@@ -261,8 +261,8 @@ TEST(SweepResume, TimeoutIsRetriedWhenRetriesAllowed)
     // The hang fires every attempt, so both attempts time out.
     EXPECT_TRUE(cells[0].timed_out);
     EXPECT_EQ(cells[0].attempts, 2u);
-    EXPECT_EQ(runner.stats().value("timeouts"), 2u);
-    EXPECT_EQ(runner.stats().value("retries"), 1u);
+    EXPECT_EQ(runner.stats().timeouts, 2u);
+    EXPECT_EQ(runner.stats().retries, 1u);
 }
 
 TEST(SweepResume, CorruptJournalFaultForcesRerunOfThatCell)
@@ -296,7 +296,7 @@ TEST(SweepResume, CorruptJournalFaultForcesRerunOfThatCell)
     // The corrupt record warned and re-ran; the intact one
     // resumed.
     EXPECT_EQ(runs.load(), 3);
-    EXPECT_EQ(second.stats().value("resumed_cells"), 1u);
+    EXPECT_EQ(second.stats().resumed_cells, 1u);
     EXPECT_FALSE(cells2[0].resumed);
     EXPECT_TRUE(cells2[1].resumed);
     EXPECT_EQ(SweepRunner::toJson(cells1),
@@ -332,7 +332,7 @@ TEST(SweepResume, FailedCellsAreJournaledAsFinalOutcomes)
     second.setCellFn(counting);
     const auto cells2 = second.run({"w1", "w2"}, {"LRU"});
     EXPECT_EQ(runs.load(), 1); // nothing re-ran
-    EXPECT_EQ(second.stats().value("resumed_cells"), 2u);
+    EXPECT_EQ(second.stats().resumed_cells, 2u);
     EXPECT_FALSE(cells2[0].ok());
     EXPECT_EQ(cells2[0].error, "injected fault: throw");
     EXPECT_EQ(SweepRunner::toJson(cells1),
@@ -413,7 +413,7 @@ TEST(SweepResume, SiblingThreadsNeverMergeOrRerunEachOthersCells)
     const auto cells = runner.run(grid.workloads, grid.policies);
 
     ASSERT_EQ(cells.size(), grid.size());
-    EXPECT_EQ(runner.stats().value("completed_cells"), grid.size());
+    EXPECT_EQ(runner.stats().completed_cells, grid.size());
     for (const auto &c : cells) {
         EXPECT_TRUE(c.ok()) << c.workload << "/" << c.policy;
         EXPECT_EQ(runs[grid.of(SweepRunner::CellSpec{
@@ -483,8 +483,8 @@ drainedSweep(const std::string &dir)
     };
     check(cells.size() == grid.size(), "cell count");
     check(SweepRunner::interrupted(), "interrupted() is false");
-    check(runner.stats().value("completed_cells") +
-                  runner.stats().value("cancelled_cells") ==
+    check(runner.stats().completed_cells +
+                  runner.stats().cancelled_cells ==
               grid.size(),
           "completed + cancelled != n");
     for (const auto &c : cells) {

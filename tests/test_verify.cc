@@ -262,6 +262,30 @@ TEST(ObserverEquivalence, EquivalenceHoldsAcrossFlushes)
     }
 }
 
+/** The oracle's counter comparison names whichever counter differs. */
+TEST(ObserverEquivalence, CounterDivergenceNamesTheCounter)
+{
+    const cache::CacheCounters base;
+    EXPECT_EQ(verify::counterDivergence(base, base), "");
+    std::vector<std::string> names;
+    base.forEach([&](const char *name, uint64_t) {
+        names.push_back(name);
+    });
+    ASSERT_EQ(names.size(), 20u);
+    for (size_t k = 0; k < names.size(); ++k) {
+        cache::CacheCounters bumped;
+        size_t i = 0;
+        // forEach hands out const references; bumped itself is not
+        // const, so writing through one is well defined.
+        bumped.forEach([&](const char *, const uint64_t &value) {
+            if (i++ == k)
+                ++const_cast<uint64_t &>(value);
+        });
+        EXPECT_EQ(verify::counterDivergence(bumped, base),
+                  names[k] + ": observed=1 detached=0");
+    }
+}
+
 // --- Mutation self-test --------------------------------------------
 
 TEST(Differential, MutantPolicyIsCaughtAndShrunk)
@@ -408,7 +432,7 @@ TEST(InvariantHooks, StatsConsistencyCheckedWhenArmed)
     req.address = 0;
     EXPECT_NO_THROW(c.access(req, 0));
     // Corrupt the per-type counters behind the cache's back.
-    ++c.statSet().counter("LD_hit");
+    ++c.counters().hit[static_cast<size_t>(trace::AccessType::Load)];
     EXPECT_THROW(c.access(req, 1), std::logic_error);
 }
 
@@ -436,11 +460,14 @@ TEST(InvariantHooks, CleanPoliciesReplayWithHooksArmed)
 
 TEST(Stats, AccessConsistencyError)
 {
-    stats::StatSet s("llc");
-    s.counter("LD_access") = 10;
-    s.counter("LD_hit") = 6;
-    s.counter("LD_miss") = 4;
-    EXPECT_EQ(stats::accessConsistencyError(s), "");
-    s.counter("WB_hit") = 1; // no matching access
-    EXPECT_NE(stats::accessConsistencyError(s), "");
+    constexpr auto kLd = static_cast<size_t>(trace::AccessType::Load);
+    constexpr auto kWb =
+        static_cast<size_t>(trace::AccessType::Writeback);
+    cache::CacheCounters c;
+    c.access[kLd] = 10;
+    c.hit[kLd] = 6;
+    c.miss[kLd] = 4;
+    EXPECT_EQ(cache::accessConsistencyError(c), "");
+    c.hit[kWb] = 1; // no matching access
+    EXPECT_NE(cache::accessConsistencyError(c), "");
 }
