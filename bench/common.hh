@@ -1,9 +1,9 @@
 /**
  * @file
  * Shared command-line plumbing for the experiment harnesses. Every
- * bench binary accepts the same scaling knobs so the default
- * `for b in build/bench/*; do $b; done` pass completes quickly,
- * while --paper-scale approaches the paper's instruction counts.
+ * bench binary accepts the same scaling knobs so a default run of
+ * each binary in build/bench completes quickly, while
+ * --paper-scale approaches the paper's instruction counts.
  */
 
 #ifndef RLR_BENCH_COMMON_HH
@@ -15,9 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/chrome_trace.hh"
 #include "obs/events_io.hh"
-#include "obs/profiler.hh"
 #include "sim/experiment.hh"
 #include "sim/sweep_runner.hh"
 #include "stats/stats.hh"
@@ -54,9 +52,6 @@ struct BenchOptions
     /** --journal: base directory for durable sweep journals
      *  (each sweep in the binary gets a sweep-NNN subdir). */
     std::string journal;
-    /** --profile: self-profile JSON export path (enables the
-     *  scoped profiler for the whole run). */
-    std::string profile;
 
     /** RL-specific scaling. */
     uint64_t rl_instructions = 300'000;
@@ -126,10 +121,6 @@ makeParser(const std::string &description)
                      "kind[:N]@<index|workload:policy> or "
                      "kind%rate; kinds: throw, transient, hang, "
                      "abort, corrupt-journal");
-    parser.addOption("profile", "",
-                     "Enable the scoped self-profiler and write "
-                     "the merged call tree as JSON to this path "
-                     "(tools/inspect --profile input)");
     parser.addOption("heartbeat", "",
                      "Write a machine-readable sweep heartbeat "
                      "file (atomically replaced every period; "
@@ -178,9 +169,6 @@ makeOptions(const util::ArgParser &parser)
     }
     opt.params.llc_epoch_length = parser.getUint("epoch");
     opt.journal = parser.get("journal");
-    opt.profile = parser.get("profile");
-    if (!opt.profile.empty())
-        obs::Profiler::instance().setEnabled(true);
     opt.sweep.heartbeat_path = parser.get("heartbeat");
     opt.sweep.heartbeat_period_s =
         parser.getDouble("heartbeat-period");
@@ -312,28 +300,10 @@ finish(const BenchOptions &opt)
         }
         obs::writeEvents(opt.events, logs);
     }
-    obs::ProfileData profile_data;
-    if (!opt.profile.empty()) {
-        profile_data = obs::Profiler::instance().collect();
-        util::atomicWriteFileOrFatal(
-            opt.profile,
-            obs::profileToJson(profile_data,
-                               opt.sweep.stable_telemetry));
-    }
     if (!opt.chrome_trace.empty()) {
-        std::vector<obs::TraceSpan> spans =
-            sim::SweepRunner::cellTraceSpans(cells);
-        obs::assignLanes(spans);
-        if (!opt.profile.empty()) {
-            // Profiler spans live in their own process row
-            // (pid 2) with per-thread lanes, so appending after
-            // lane assignment keeps the sweep schedule packing.
-            const auto prof = obs::profileTraceSpans(profile_data);
-            spans.insert(spans.end(), prof.begin(), prof.end());
-        }
         util::atomicWriteFileOrFatal(
             opt.chrome_trace,
-            obs::chromeTraceJson(spans, "sweep"));
+            sim::SweepRunner::chromeTraceJson(cells));
     }
     const sim::SweepStats &r = detail::sweepStats();
     if (r.retries + r.timeouts + r.resumed_cells + r.cancelled_cells +

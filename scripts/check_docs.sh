@@ -120,9 +120,8 @@ for f in $inspect_flags; do
             "docs/OBSERVABILITY.md"
 done
 for needle in "llc.epoch." "llc.events." scripts/inspect_e2e.sh \
-              "obs.prof." "obs.res." rlr-heartbeat \
-              scripts/heartbeat_e2e.sh PROF_tier1.json \
-              RLR_PROF_SCOPE; do
+              "obs.res." obs.res.measure_us rlr-heartbeat \
+              scripts/heartbeat_e2e.sh; do
     grep -q "$needle" docs/OBSERVABILITY.md ||
         err "'$needle' is not documented in docs/OBSERVABILITY.md"
 done

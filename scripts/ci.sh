@@ -9,10 +9,9 @@
 # binaries, so the kill-and-resume guarantee is proven both in
 # Release and under the sanitizers. All stages must pass.
 #
-# The release stage additionally exports a self-profile of the
-# tier-1 sweep path to PROF_tier1.json (docs/OBSERVABILITY.md).
-# Set RLR_STABLE_BENCH=1 to zero the wall-clock fields so
-# same-seed runs are byte-identical.
+# The release stage builds from clean and fails on any compiler
+# warning reported at a path under the repo's own src/, tools/,
+# bench/ or tests/.
 #
 # Usage: scripts/ci.sh [-j N]
 #   -j N   parallel build/test jobs (default: nproc)
@@ -35,9 +34,30 @@ run_stage() {
     echo "=== ci: configure $label ($dir) ==="
     cmake -B "$dir" -S . "$@"
     echo "=== ci: build $label ==="
-    cmake --build "$dir" -j "$jobs"
+    # Every compiler line goes to $dir/build.log as well, for
+    # check_own_warnings.
+    cmake --build "$dir" -j "$jobs" ${clean_first:+--clean-first} \
+        2>&1 | tee "$dir/build.log"
+    [ "${PIPESTATUS[0]}" -eq 0 ] || exit 1
     echo "=== ci: test $label ==="
     ctest --test-dir "$dir" --output-on-failure -j "$jobs"
+}
+
+# Fail on any warning whose location is in the repo's own code.
+# GCC 12's libstdc++ false positives (-Wrestrict, and
+# -Wnull-dereference inlined from our calls) are reported at
+# paths under /usr/include and are not matched.
+check_own_warnings() {
+    local dir="$1"
+    echo "=== ci: no warnings in src/ tools/ bench/ tests/ ==="
+    local own
+    own=$(grep -E "^($PWD/)?(src|tools|bench|tests)/[^:]*:[0-9]+:([0-9]+:)? warning:" \
+        "$dir/build.log" | sort -u || true)
+    if [ -n "$own" ]; then
+        echo "$own" >&2
+        echo "ci: the build warned in the repo's own code" >&2
+        exit 1
+    fi
 }
 
 run_crash_resume() {
@@ -48,26 +68,9 @@ run_crash_resume() {
         --inspect-bin="$dir/tools/inspect"
 }
 
-run_profile_artifact() {
-    local dir="$1"
-    echo "=== ci: tier-1 self-profile (PROF_tier1.json) ==="
-    local stable_flag=""
-    if [ "${RLR_STABLE_BENCH:-0}" != "0" ]; then
-        stable_flag="--stable-json"
-    fi
-    # shellcheck disable=SC2086  # stable_flag is empty or one flag
-    "$dir/bench/fig12_mpki" \
-        --workloads 429.mcf,470.lbm --policies RLR \
-        --warmup 50000 --instructions 200000 \
-        --profile PROF_tier1.json $stable_flag >/dev/null
-    # The export must render (also validates the JSON).
-    "$dir/tools/inspect" --profile PROF_tier1.json >/dev/null
-}
-
 # The tests that run threads against shared state: parallelFor,
-# heartbeats, the profiler, cancellation, journal resume, and the
-# journal itself.
-tsan_tests="test_thread_pool test_heartbeat test_profiler"
+# heartbeats, cancellation, journal resume, and the journal itself.
+tsan_tests="test_thread_pool test_heartbeat"
 tsan_tests="$tsan_tests test_sweep_runner test_cancel_token"
 tsan_tests="$tsan_tests test_sweep_resume test_journal"
 
@@ -85,9 +88,9 @@ run_tsan_stage() {
         -R "^($(echo $tsan_tests | tr ' ' '|'))\$"
 }
 
-run_stage "release" build -DCMAKE_BUILD_TYPE=Release
+clean_first=1 run_stage "release" build -DCMAKE_BUILD_TYPE=Release
+check_own_warnings build
 run_crash_resume "release" build
-run_profile_artifact build
 
 # Sanitizer stage: RelWithDebInfo keeps line numbers in reports
 # without debug-build slowness; halt_on_error via

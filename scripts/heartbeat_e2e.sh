@@ -13,10 +13,9 @@
 #                reports done
 #   3. final   : the final beat is done=true with every cell
 #                accounted for and no workers still listed
-#   4. profile : the same run's --profile export renders as a
-#                call tree (`inspect --profile`) and as folded
-#                stacks (--folded), with the sweep/sim spans
-#                present
+#   4. phases  : the same run's --resources --json export holds
+#                obs.res.measure_us (the per-cell phase times) in
+#                every ok row
 #
 # Usage: scripts/heartbeat_e2e.sh [--fig12-bin=PATH]
 #            [--inspect-bin=PATH]
@@ -53,7 +52,7 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 hb="$tmp/heartbeat.json"
-prof="$tmp/profile.json"
+json="$tmp/sweep.json"
 
 echo "heartbeat_e2e: [1/4] background sweep with --heartbeat" >&2
 # Long enough (and on few enough threads) that the sweep is still
@@ -61,7 +60,7 @@ echo "heartbeat_e2e: [1/4] background sweep with --heartbeat" >&2
 "$fig12_bin" --workloads 429.mcf,403.gcc,470.lbm \
     --policies RLR --warmup 100000 --instructions 400000 \
     --seed 42 --threads 2 --heartbeat "$hb" \
-    --heartbeat-period 0.05 --profile "$prof" \
+    --heartbeat-period 0.05 --resources --json "$json" \
     >"$tmp/sweep.out" 2>&1 &
 sweep_pid=$!
 
@@ -149,25 +148,19 @@ grep -q "workers: (all finished)" "$tmp/top_final.out" || {
     exit 1
 }
 
-echo "heartbeat_e2e: [4/4] profile export renders" >&2
-"$inspect_bin" --profile "$prof" --folded "$tmp/folded.txt" \
-    >"$tmp/profile.out"
-grep -q "sweep.cell" "$tmp/profile.out" || {
-    echo "heartbeat_e2e: profile tree missing sweep.cell:" >&2
-    cat "$tmp/profile.out" >&2
+echo "heartbeat_e2e: [4/4] every ok cell exports phase times" >&2
+# Every row of this sweep must be ok, and each ok row's stats
+# snapshot holds one obs.res.measure_us (failed rows have none).
+ok_rows=$(grep -c '"error": null' "$json" || true)
+timed_rows=$(grep -o '"obs.res.measure_us": [0-9]*' "$json" |
+    wc -l)
+if [ "$ok_rows" -ne 6 ] || [ "$timed_rows" -ne "$ok_rows" ]; then
+    echo "heartbeat_e2e: expected 6 ok rows with" \
+         "obs.res.measure_us, got $timed_rows of $ok_rows:" >&2
+    cat "$json" >&2
     exit 1
-}
-grep -q "sim.run" "$tmp/profile.out" || {
-    echo "heartbeat_e2e: profile tree missing sim.run:" >&2
-    cat "$tmp/profile.out" >&2
-    exit 1
-}
-grep -q "sweep.cell;sim.run" "$tmp/folded.txt" || {
-    echo "heartbeat_e2e: folded stacks missing the" \
-         "sweep.cell;sim.run path:" >&2
-    head "$tmp/folded.txt" >&2
-    exit 1
-}
+fi
 
 echo "heartbeat_e2e: OK (live frame rendered mid-sweep, follower" \
-     "exited on done=true, 6/6 cells accounted, profile rendered)"
+     "exited on done=true, 6/6 cells accounted, phase times" \
+     "exported)"

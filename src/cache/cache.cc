@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "obs/profiler.hh"
 #include "util/logging.hh"
 
 namespace rlr::cache
@@ -148,10 +147,6 @@ Cache::runPrefetcher(const MemRequest &req, bool hit, uint64_t now)
 uint64_t
 Cache::access(const MemRequest &req, uint64_t now)
 {
-    // Sampled 1-in-64: the access path runs tens of millions of
-    // times per cell, so even two clock reads per span would show
-    // up; the profile scales the estimates back up by the shift.
-    RLR_PROF_SCOPE_IF_SAMPLED(profiled_, "sim.llc.access", 6);
     now += geom_.latency;
     const uint64_t line = CacheGeometry::lineAddress(req.address);
     const uint64_t tag = geom_.tag(line);

@@ -147,12 +147,11 @@ class Cache : public MemoryLevel
     bool verifyingInvariants() const { return verify_; }
 
     /**
-     * Opt this cache into the sampled `sim.llc.access` span of the
-     * scoped self-profiler (obs/profiler.hh). Off by default;
-     * sim::System enables it for the LLC only.
+     * Does nothing. Kept only because bench/e2e/sim_e2e_trace.cc,
+     * which must build unchanged, still calls it; it goes when
+     * that mirror is replaced (ROADMAP item 4).
      */
-    void setProfiled(bool v) { profiled_ = v; }
-    bool profiled() const { return profiled_; }
+    void setProfiled(bool) {}
 
     /**
      * Minimum prefetch confidence required to install a prefetch
@@ -280,8 +279,6 @@ class Cache : public MemoryLevel
     float pf_fill_threshold_ = 0.0f;
     /** Invariant checking armed (RLR_VERIFY / fuzz harness). */
     bool verify_ = false;
-    /** Self-profiler spans armed (sim::System arms the LLC). */
-    bool profiled_ = false;
 
     /**
      * Per-line metadata as struct-of-arrays lanes, indexed by

@@ -1,13 +1,10 @@
 #include "obs/chrome_trace.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <numeric>
 
 #include "stats/export.hh"
-#include "util/atomic_file.hh"
 #include "util/format.hh"
-#include "util/logging.hh"
 
 namespace rlr::obs
 {
@@ -56,9 +53,9 @@ chromeTraceJson(const std::vector<TraceSpan> &spans,
         out += util::format(
             "    {{\"name\": \"{}\", \"cat\": \"{}\", "
             "\"ph\": \"X\", \"ts\": {}, \"dur\": {}, "
-            "\"pid\": {}, \"tid\": {}",
+            "\"pid\": 1, \"tid\": {}",
             escape(s.name), escape(s.category), s.start_us,
-            s.duration_us, s.pid, s.tid);
+            s.duration_us, s.tid);
         if (!s.args.empty()) {
             out += ", \"args\": {";
             for (size_t i = 0; i < s.args.size(); ++i) {
@@ -74,15 +71,6 @@ chromeTraceJson(const std::vector<TraceSpan> &spans,
     }
     out += "\n  ]\n}\n";
     return out;
-}
-
-void
-writeChromeTrace(const std::string &path,
-                 const std::vector<TraceSpan> &spans,
-                 const std::string &process_name)
-{
-    util::atomicWriteFileOrFatal(
-        path, chromeTraceJson(spans, process_name));
 }
 
 } // namespace rlr::obs

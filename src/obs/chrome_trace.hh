@@ -35,7 +35,6 @@ struct TraceSpan
     uint64_t start_us = 0;
     /** Duration in microseconds. */
     uint64_t duration_us = 0;
-    uint32_t pid = 1;
     /** Lane; see assignLanes() for automatic packing. */
     uint32_t tid = 0;
     /** Extra "args" members as (key, pre-rendered JSON value) —
@@ -55,15 +54,11 @@ void assignLanes(std::vector<TraceSpan> &spans);
  * Render spans as a complete trace_event JSON document:
  * an object with "displayTimeUnit" and a "traceEvents" array
  * holding one "M" process_name metadata event (named @p
- * process_name) followed by one "X" event per span.
+ * process_name) followed by one "X" event per span, all in
+ * process 1.
  */
 std::string chromeTraceJson(const std::vector<TraceSpan> &spans,
                             const std::string &process_name);
-
-/** Write chromeTraceJson() to @p path; fatal() on I/O failure. */
-void writeChromeTrace(const std::string &path,
-                      const std::vector<TraceSpan> &spans,
-                      const std::string &process_name);
 
 } // namespace rlr::obs
 

@@ -14,9 +14,9 @@ void
 IpStridePrefetcher::bind(const cache::CacheGeometry &geom)
 {
     (void)geom;
-    table_.assign(config_.table_entries, Entry{});
-    for (auto &e : table_)
-        e.confidence = util::SatCounter(config_.confidence_bits);
+    Entry blank;
+    blank.confidence = util::SatCounter(config_.confidence_bits);
+    table_.assign(config_.table_entries, blank);
 }
 
 void

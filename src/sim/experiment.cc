@@ -1,9 +1,9 @@
 #include "sim/experiment.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 
-#include "obs/profiler.hh"
 #include "obs/resource.hh"
 #include "stats/stats.hh"
 #include "trace/workloads.hh"
@@ -48,12 +48,15 @@ runWorkloads(const std::vector<std::string> &workloads,
              const SimParams &params)
 {
     util::ensure(!workloads.empty(), "runWorkloads: no workloads");
-    RLR_PROF_SCOPE("sim.run");
+    using Clock = std::chrono::steady_clock;
     const obs::ResourceSample res_start =
         params.record_resources
             ? obs::ResourceSample::now(
                   obs::ResourceSample::Scope::Thread)
             : obs::ResourceSample{};
+    // Phase boundaries, read after res_start and before the end
+    // sample, so each phase lies inside the wall_ms region.
+    const Clock::time_point t_start = Clock::now();
     const auto n = static_cast<uint32_t>(workloads.size());
 
     SystemConfig sys_cfg;
@@ -82,10 +85,8 @@ runWorkloads(const std::vector<std::string> &workloads,
                            auto instr_count) {
         if (n == 1) {
             const uint64_t done = instr_count(0);
-            if (done < target) {
-                RLR_PROF_SCOPE("sim.core.run");
+            if (done < target)
                 system.core(0).run(*gens[0], target - done);
-            }
             return;
         }
         for (;;) {
@@ -106,30 +107,23 @@ runWorkloads(const std::vector<std::string> &workloads,
             if (all_done)
                 break;
             const uint64_t remaining = target - instr_count(pick);
-            // Distinct name from the single-core span: this one is
-            // per-quantum and sampled, and a merged node keeps one
-            // sampling shift.
-            RLR_PROF_SCOPE_SAMPLED("sim.core.quantum", 6);
             system.core(pick).run(
                 *gens[pick],
                 std::min<uint64_t>(quantum, remaining));
         }
     };
 
-    {
-        RLR_PROF_SCOPE("sim.warmup");
-        advance_all(params.warmup_instructions, [&](uint32_t i) {
-            return system.core(i).instructions();
-        });
-    }
+    const Clock::time_point t_setup = Clock::now();
+    advance_all(params.warmup_instructions, [&](uint32_t i) {
+        return system.core(i).instructions();
+    });
     system.resetStats();
 
-    {
-        RLR_PROF_SCOPE("sim.measure");
-        advance_all(params.sim_instructions, [&](uint32_t i) {
-            return system.core(i).measuredInstructions();
-        });
-    }
+    const Clock::time_point t_warmup = Clock::now();
+    advance_all(params.sim_instructions, [&](uint32_t i) {
+        return system.core(i).measuredInstructions();
+    });
+    const Clock::time_point t_measure = Clock::now();
 
     RunResult result;
     for (uint32_t i = 0; i < n; ++i) {
@@ -152,9 +146,21 @@ runWorkloads(const std::vector<std::string> &workloads,
                 obs::ResourceSample::Scope::Thread)
                 .deltaFrom(res_start);
         obs::describeResourceStats(registry, "obs.res", delta);
+        const auto us = [](Clock::duration d) {
+            return static_cast<uint64_t>(
+                std::chrono::duration_cast<std::chrono::microseconds>(
+                    d)
+                    .count());
+        };
+        registry.counter("obs.res.setup_us",
+                         "System and generator construction") =
+            us(t_setup - t_start);
+        registry.counter("obs.res.warmup_us",
+                         "warm-up phase, stats reset included") =
+            us(t_warmup - t_setup);
+        registry.counter("obs.res.measure_us", "measured phase") =
+            us(t_measure - t_warmup);
     }
-    if (obs::Profiler::profilingEnabled())
-        obs::describeProfilerStats(registry, "obs.prof");
     result.stats = registry.snapshot();
     if (params.capture_llc_trace)
         result.llc_trace = system.llcTrace();
@@ -172,7 +178,6 @@ runSingleCore(const std::string &workload, const SimParams &params)
 trace::LlcTrace
 captureLlcTrace(const std::string &workload, const SimParams &params)
 {
-    RLR_PROF_SCOPE("sim.trace.capture");
     SimParams p = params;
     p.llc_policy = "LRU"; // unbiased capture, as in the paper
     p.capture_llc_trace = true;

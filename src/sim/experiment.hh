@@ -42,10 +42,11 @@ struct SimParams
 
     /**
      * Export the run's resource cost (CPU time, peak RSS, page
-     * faults — obs/resource.hh) into the stats snapshot under
-     * `obs.res.*`. Off by default: the values are wall-clock-
-     * dependent, and the seed-determinism contract compares
-     * snapshots of same-seed runs byte for byte.
+     * faults — obs/resource.hh) and its phase times
+     * (`setup_us`, `warmup_us`, `measure_us`) into the stats
+     * snapshot under `obs.res.*`. Off by default: the values are
+     * wall-clock-dependent, and the seed-determinism contract
+     * compares snapshots of same-seed runs byte for byte.
      */
     bool record_resources = false;
 

@@ -7,7 +7,6 @@
 #include <filesystem>
 #include <stdexcept>
 
-#include "obs/profiler.hh"
 #include "stats/export.hh"
 #include "util/atomic_file.hh"
 #include "util/format.hh"
@@ -343,7 +342,6 @@ SweepJournal::SweepJournal(std::string dir,
                            const JournalHeader &expect)
     : dir_(std::move(dir)), header_(expect)
 {
-    RLR_PROF_SCOPE("sweep.journal.load");
     std::error_code ec;
     fs::create_directories(dir_, ec);
     if (ec) {
@@ -455,7 +453,6 @@ void
 SweepJournal::append(uint64_t spec_hash, const SweepCell &cell,
                      bool corrupt) const
 {
-    RLR_PROF_SCOPE("sweep.journal.append");
     std::string body = cellToJson(cell);
     if (corrupt)
         body.resize(body.size() / 2);

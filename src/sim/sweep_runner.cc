@@ -16,7 +16,6 @@
 
 #include "obs/chrome_trace.hh"
 #include "obs/heartbeat.hh"
-#include "obs/profiler.hh"
 #include "obs/resource.hh"
 #include "sim/journal.hh"
 #include "stats/export.hh"
@@ -485,7 +484,6 @@ SweepRunner::runCells(std::vector<CellSpec> specs)
 
     // Execute one claimed cell, then commit it.
     auto run_one = [&](size_t i) {
-        RLR_PROF_SCOPE("sweep.cell");
         SweepCell &cell = cells[i];
         const CellSpec &spec = specs[i];
         AttemptSlot &slot = slots[i];
@@ -754,8 +752,12 @@ SweepRunner::toJson(const std::vector<SweepCell> &cells)
     return out;
 }
 
+namespace
+{
+
+/** One schedule slice per cell, before lane packing. */
 std::vector<obs::TraceSpan>
-SweepRunner::cellTraceSpans(const std::vector<SweepCell> &cells)
+cellTraceSpans(const std::vector<SweepCell> &cells)
 {
     std::vector<obs::TraceSpan> spans;
     spans.reserve(cells.size());
@@ -781,6 +783,8 @@ SweepRunner::cellTraceSpans(const std::vector<SweepCell> &cells)
     }
     return spans;
 }
+
+} // namespace
 
 std::string
 SweepRunner::chromeTraceJson(const std::vector<SweepCell> &cells)

@@ -41,11 +41,6 @@
 #include "sim/fault_plan.hh"
 #include "util/table.hh"
 
-namespace rlr::obs
-{
-struct TraceSpan;
-} // namespace rlr::obs
-
 namespace rlr::sim
 {
 
@@ -204,14 +199,6 @@ class SweepRunner
      */
     static std::string
     chromeTraceJson(const std::vector<SweepCell> &cells);
-
-    /**
-     * The schedule slices of chromeTraceJson() before lane
-     * packing, so callers can merge in other span sources (the
-     * profiler's timeline) before serializing.
-     */
-    static std::vector<obs::TraceSpan>
-    cellTraceSpans(const std::vector<SweepCell> &cells);
 
   private:
     SimParams params_;

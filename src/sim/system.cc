@@ -28,9 +28,6 @@ System::System(const SystemConfig &config) : config_(config)
         llc_geom,
         core::makePolicy(config_.llc_policy, config_.policy_seed),
         dram_.get());
-    // Only the LLC carries the sampled self-profiler span: it is
-    // where the replacement-policy work runs.
-    llc_->setProfiled(true);
     std::vector<cache::CacheObserver *> llc_observers;
     if (config_.capture_llc_trace)
         llc_observers.push_back(&llc_capture_);

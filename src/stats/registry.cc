@@ -21,7 +21,7 @@ HistogramData::from(const util::Histogram &h)
 {
     HistogramData d;
     d.bucket_width = h.bucketWidth();
-    d.buckets.resize(h.numBuckets());
+    d.buckets = std::vector<uint64_t>(h.numBuckets());
     for (size_t i = 0; i < h.numBuckets(); ++i)
         d.buckets[i] = h.bucketCount(i);
     d.overflow = h.overflowCount();

@@ -182,7 +182,15 @@ TEST(Heartbeat, ReadersNeverSeeTornWrites)
         }
     });
 
+    // Churn for 300 ms, and on until the reader has parsed a beat:
+    // each write fsyncs, which can take longer than that on a busy
+    // disk. The cap only keeps a broken writer from hanging.
+    const auto start = std::chrono::steady_clock::now();
     std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    while (reads.load() == 0 &&
+           std::chrono::steady_clock::now() - start <
+               std::chrono::seconds(30))
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
     stop.store(true);
     churn.join();
     reader.join();

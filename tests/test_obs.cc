@@ -507,9 +507,9 @@ TEST(Epoch, RejectsZeroLength)
 TEST(ChromeTrace, LanePackingFirstFit)
 {
     std::vector<TraceSpan> spans(3);
-    spans[0] = {"a", "cell", 0, 10, 1, 0, {}};
-    spans[1] = {"b", "cell", 5, 5, 1, 0, {}}; // overlaps a -> 1
-    spans[2] = {"c", "cell", 12, 3, 1, 0, {}}; // lane 0 again
+    spans[0] = {"a", "cell", 0, 10, 0, {}};
+    spans[1] = {"b", "cell", 5, 5, 0, {}}; // overlaps a -> 1
+    spans[2] = {"c", "cell", 12, 3, 0, {}}; // lane 0 again
     assignLanes(spans);
     EXPECT_EQ(spans[0].tid, 0u);
     EXPECT_EQ(spans[1].tid, 1u);
@@ -520,7 +520,7 @@ TEST(ChromeTrace, ZeroDurationSpansShareLaneZero)
 {
     std::vector<TraceSpan> spans(4);
     for (size_t i = 0; i < spans.size(); ++i)
-        spans[i] = {"s", "cell", 0, 0, 1, 0, {}};
+        spans[i] = {"s", "cell", 0, 0, 0, {}};
     assignLanes(spans);
     for (const TraceSpan &s : spans)
         EXPECT_EQ(s.tid, 0u);
@@ -529,7 +529,7 @@ TEST(ChromeTrace, ZeroDurationSpansShareLaneZero)
 TEST(ChromeTrace, JsonSchemaRoundTrips)
 {
     std::vector<TraceSpan> spans(1);
-    spans[0] = {"w/p", "cell", 100, 250, 1, 0,
+    spans[0] = {"w/p", "cell", 100, 250, 0,
                 {{"workload", "\"w\""}, {"mips", "1.5"}}};
     const std::string json = chromeTraceJson(spans, "sweep");
 

@@ -1,6 +1,10 @@
 /** @file Integration tests for the full system and experiment
  *  drivers. */
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "sim/experiment.hh"
@@ -21,6 +25,20 @@ quickParams()
     p.warmup_instructions = 20'000;
     p.sim_instructions = 80'000;
     return p;
+}
+
+/** The keys --resources adds, in registration order. */
+const std::vector<std::string> kResourceKeys = {
+    "obs.res.cpu_user_ms",  "obs.res.cpu_sys_ms",
+    "obs.res.wall_ms",      "obs.res.max_rss_kb",
+    "obs.res.minor_faults", "obs.res.major_faults",
+    "obs.res.setup_us",     "obs.res.warmup_us",
+    "obs.res.measure_us"};
+
+bool
+isResourceKey(const std::string &path)
+{
+    return path.rfind("obs.res.", 0) == 0;
 }
 
 } // namespace
@@ -157,4 +175,49 @@ TEST(Experiment, NoPrefetcherOption)
                    : 0.0;
     };
     EXPECT_GT(rate(sys_on.l2(0)), rate(sys_off.l2(0)) + 0.1);
+}
+
+TEST(Experiment, DefaultRunExportsNoResourceStats)
+{
+    const auto r = runSingleCore("429.mcf", quickParams());
+    ASSERT_FALSE(r.stats.counters.empty());
+    for (const auto &[path, value] : r.stats.counters)
+        EXPECT_FALSE(isResourceKey(path)) << path;
+}
+
+TEST(Experiment, ResourceRunExportsPhaseTimesInsideWallTime)
+{
+    SimParams p = quickParams();
+    p.record_resources = true;
+    const auto r = runSingleCore("429.mcf", p);
+    std::vector<std::string> keys;
+    for (const auto &[path, value] : r.stats.counters)
+        if (isResourceKey(path))
+            keys.push_back(path);
+    EXPECT_EQ(keys, kResourceKeys);
+
+    // The phases lie inside the wall-clock region and every field
+    // truncates, so their sum cannot pass wall_ms's next whole
+    // millisecond.
+    const uint64_t phases = r.stats.counter("obs.res.setup_us") +
+                            r.stats.counter("obs.res.warmup_us") +
+                            r.stats.counter("obs.res.measure_us");
+    EXPECT_LE(phases,
+              r.stats.counter("obs.res.wall_ms") * 1000 + 999);
+}
+
+TEST(Experiment, ResourceRecordingChangesNoSimulationState)
+{
+    SimParams p = quickParams();
+    const auto plain = runSingleCore("429.mcf", p);
+    p.record_resources = true;
+    const auto timed = runSingleCore("429.mcf", p);
+
+    std::vector<std::pair<std::string, uint64_t>> rest;
+    for (const auto &entry : timed.stats.counters)
+        if (!isResourceKey(entry.first))
+            rest.push_back(entry);
+    EXPECT_EQ(rest, plain.stats.counters);
+    EXPECT_EQ(timed.stats.formulas, plain.stats.formulas);
+    EXPECT_EQ(timed.stats.histograms, plain.stats.histograms);
 }

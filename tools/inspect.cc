@@ -7,7 +7,6 @@
  *   ./build/tools/inspect --check-trace sweep_trace.json
  *   ./build/tools/inspect --journal out/journal/sweep-0
  *   ./build/tools/inspect --top out/heartbeat.json
- *   ./build/tools/inspect --profile out/profile.json
  *
  * Any bench binary's --events output works as input; the report
  * covers whatever cells the export contains (eviction-reason
@@ -19,8 +18,6 @@
  * docs/ROBUSTNESS.md).
  * --top follows a sweep's --heartbeat file like `top(1)`,
  * redrawing per-worker status until the sweep reports done.
- * --profile renders a --profile JSON export as a call tree
- * (--folded additionally writes flamegraph folded stacks).
  */
 
 #include <algorithm>
@@ -30,7 +27,6 @@
 #include <thread>
 
 #include "obs/heartbeat.hh"
-#include "obs/profiler.hh"
 #include "sim/journal.hh"
 #include "tools/inspect_gen.hh"
 #include "util/args.hh"
@@ -96,13 +92,6 @@ main(int argc, char **argv)
     parser.addFlag("once",
                    "With --top: render one frame and exit "
                    "instead of following until done");
-    parser.addOption("profile", "",
-                     "Render a profile JSON export (--profile "
-                     "output of any bench binary) as a call "
-                     "tree");
-    parser.addOption("folded", "",
-                     "With --profile: also write flamegraph "
-                     "folded stacks to this path");
     if (!parser.parse(argc, argv))
         return 0;
 
@@ -136,24 +125,6 @@ main(int argc, char **argv)
             std::this_thread::sleep_for(
                 std::chrono::duration<double>(interval));
         }
-    }
-
-    const std::string profile = parser.get("profile");
-    if (!profile.empty()) {
-        rlr::obs::ProfileData data;
-        try {
-            data = rlr::obs::profileFromJson(readFile(profile));
-        } catch (const std::exception &e) {
-            rlr::util::fatal("{}: {}", profile, e.what());
-        }
-        std::fputs(rlr::tools::renderProfileTree(data).c_str(),
-                   stdout);
-        const std::string folded = parser.get("folded");
-        if (!folded.empty()) {
-            writeFile(folded, rlr::obs::profileFolded(data));
-            std::fprintf(stderr, "wrote %s\n", folded.c_str());
-        }
-        return 0;
     }
 
     const std::string journal = parser.get("journal");

@@ -134,15 +134,16 @@ renderCell(std::string &out, const obs::CellEvents &cell,
                "style)\n\n";
         out += "Age at eviction in set-access units, grouped by "
                "the victim's last access type.\n\n";
-        std::vector<std::vector<std::string>> rows;
+        std::vector<std::vector<std::string>> age_rows;
         for (size_t t = 0; t < trace::kNumAccessTypes; ++t) {
             const auto type = static_cast<trace::AccessType>(t);
-            rows.push_back(
+            age_rows.push_back(
                 {std::string(trace::accessTypeName(type)),
                  util::format("{}", vs.victim_count[t]),
                  fmt(vs.avgVictimAge(type))});
         }
-        out += mdTable({"Last type", "Victims", "Avg age"}, rows) +
+        out += mdTable({"Last type", "Victims", "Avg age"},
+                       age_rows) +
                "\n";
 
         out += "### Victim hit counts (Fig. 6 style)\n\n";
@@ -328,25 +329,6 @@ checkChromeTrace(const std::string &trace_json)
 namespace
 {
 
-/** Human-readable nanoseconds ("1.23ms", "450ns"). */
-std::string
-fmtNs(uint64_t ns)
-{
-    if (ns >= 1'000'000'000ULL) {
-        return util::format(
-            "{:.2f}s", static_cast<double>(ns) / 1e9);
-    }
-    if (ns >= 1'000'000ULL) {
-        return util::format(
-            "{:.2f}ms", static_cast<double>(ns) / 1e6);
-    }
-    if (ns >= 1'000ULL) {
-        return util::format(
-            "{:.2f}us", static_cast<double>(ns) / 1e3);
-    }
-    return util::format("{}ns", ns);
-}
-
 std::string
 fmtKb(uint64_t kb)
 {
@@ -358,35 +340,6 @@ fmtKb(uint64_t kb)
         return util::format("{:.1f}MB",
                             static_cast<double>(kb) / 1024.0);
     return util::format("{}KB", kb);
-}
-
-void
-renderProfileNode(std::string &out, const obs::ProfileNode &node,
-                  uint64_t grand_total, int depth)
-{
-    const double pct =
-        grand_total == 0
-            ? 0.0
-            : 100.0 * static_cast<double>(node.total_ns) /
-                  static_cast<double>(grand_total);
-    out += util::format(
-        "{}{}  calls {}  total {} ({:.1f}%)  self {}  "
-        "p50 <{}  p99 <{}\n",
-        std::string(static_cast<size_t>(depth) * 2, ' '),
-        node.name, node.calls, fmtNs(node.total_ns), pct,
-        fmtNs(node.self_ns), fmtNs(node.p50_ns),
-        fmtNs(node.p99_ns));
-    std::vector<const obs::ProfileNode *> kids;
-    kids.reserve(node.children.size());
-    for (const auto &c : node.children)
-        kids.push_back(&c);
-    std::stable_sort(kids.begin(), kids.end(),
-                     [](const obs::ProfileNode *a,
-                        const obs::ProfileNode *b) {
-                         return a->total_ns > b->total_ns;
-                     });
-    for (const auto *c : kids)
-        renderProfileNode(out, *c, grand_total, depth + 1);
 }
 
 } // namespace
@@ -431,29 +384,6 @@ renderTop(const obs::Heartbeat &hb)
             w.worker, w.cell, w.attempt, w.age_s,
             w.age_s > straggler_cut ? "  << STRAGGLER" : "");
     }
-    return out;
-}
-
-std::string
-renderProfileTree(const obs::ProfileData &data)
-{
-    std::string out = util::format(
-        "profile  threads {}  spans {}  sites {}\n",
-        data.threads, data.spans, data.sites);
-    std::vector<const obs::ProfileNode *> roots;
-    roots.reserve(data.roots.size());
-    uint64_t grand_total = 0;
-    for (const auto &r : data.roots) {
-        roots.push_back(&r);
-        grand_total += r.total_ns;
-    }
-    std::stable_sort(roots.begin(), roots.end(),
-                     [](const obs::ProfileNode *a,
-                        const obs::ProfileNode *b) {
-                         return a->total_ns > b->total_ns;
-                     });
-    for (const auto *r : roots)
-        renderProfileNode(out, *r, grand_total, 1);
     return out;
 }
 

@@ -24,7 +24,6 @@
 
 #include "obs/events_io.hh"
 #include "obs/heartbeat.hh"
-#include "obs/profiler.hh"
 #include "trace/record.hh"
 
 namespace rlr::tools
@@ -99,13 +98,6 @@ size_t checkChromeTrace(const std::string &trace_json);
  * as stragglers.
  */
 std::string renderTop(const obs::Heartbeat &hb);
-
-/**
- * Render a profile export (obs::profileToJson) as an indented
- * call tree with per-node calls, total/self time, and
- * percentiles, heaviest subtree first.
- */
-std::string renderProfileTree(const obs::ProfileData &data);
 
 } // namespace rlr::tools
 
