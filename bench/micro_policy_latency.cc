@@ -30,10 +30,9 @@ policyBench(benchmark::State &state, const std::string &name)
     policy->bind(geom);
 
     util::Rng rng(7);
-    std::vector<cache::BlockView> blocks(geom.ways);
+    std::vector<uint64_t> line_addrs(geom.ways);
     for (uint32_t w = 0; w < geom.ways; ++w) {
-        blocks[w] = cache::BlockView{true, false, false,
-                                     (w + 1) * 64ull};
+        line_addrs[w] = (w + 1) * 64ull;
     }
 
     for (auto _ : state) {
@@ -44,7 +43,7 @@ policyBench(benchmark::State &state, const std::string &name)
         ctx.pc = 0x400000 + 4 * rng.nextBounded(64);
         ctx.type = trace::AccessType::Load;
         ctx.hit = false;
-        const uint32_t way = policy->findVictim(ctx, blocks);
+        const uint32_t way = policy->findVictim(ctx, line_addrs);
         ctx.way = way == cache::ReplacementPolicy::kBypass
                       ? 0
                       : way % geom.ways;

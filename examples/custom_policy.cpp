@@ -38,9 +38,9 @@ class FifoHPolicy : public cache::ReplacementPolicy
 
     uint32_t
     findVictim(const cache::AccessContext &ctx,
-               std::span<const cache::BlockView> blocks) override
+               std::span<const uint64_t> line_addrs) override
     {
-        (void)blocks;
+        (void)line_addrs;
         const size_t base = static_cast<size_t>(ctx.set) * ways_;
         // Oldest unprotected line; fall back to oldest overall.
         uint32_t victim = 0;

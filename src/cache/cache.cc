@@ -49,6 +49,9 @@ Cache::Cache(CacheGeometry geom,
     geom_.validate();
     util::ensure(policy_ != nullptr, "Cache: null policy");
     util::ensure(next_ != nullptr, "Cache: null next level");
+    util::ensure(geom_.mshrs > 0, "Cache: no MSHRs");
+    set_mask_ = util::mask(geom_.setBits());
+    tag_shift_ = kLineBits + geom_.setBits();
     const size_t lines =
         static_cast<size_t>(geom_.numSets()) * geom_.ways;
     valid_.assign(lines, 0);
@@ -57,7 +60,7 @@ Cache::Cache(CacheGeometry geom,
     tag_.assign(lines, 0);
     addr_.assign(lines, 0);
     ready_at_.assign(lines, 0);
-    view_scratch_.resize(geom_.ways);
+    inflight_.assign(geom_.mshrs, 0);
     policy_->bind(geom_);
 }
 
@@ -101,23 +104,31 @@ Cache::lookup(uint32_t set, uint64_t tag) const
 uint64_t
 Cache::mshrAdmit(uint64_t now)
 {
-    while (!inflight_.empty() && inflight_.top() <= now)
-        inflight_.pop();
-    if (inflight_.size() >= geom_.mshrs) {
+    // Free the MSHRs of every miss whose data has arrived.
+    uint32_t live = 0;
+    for (uint32_t i = 0; i < inflight_count_; ++i) {
+        if (inflight_[i] > now)
+            inflight_[live++] = inflight_[i];
+    }
+    inflight_count_ = live;
+    if (live >= geom_.mshrs) {
         // All MSHRs busy: the request waits for the earliest
-        // outstanding miss to complete.
-        now = std::max(now, inflight_.top());
-        inflight_.pop();
+        // outstanding miss to complete, which frees its entry.
+        uint32_t first = 0;
+        for (uint32_t i = 1; i < live; ++i) {
+            if (inflight_[i] < inflight_[first])
+                first = i;
+        }
+        now = inflight_[first];
+        inflight_[first] = inflight_[--inflight_count_];
         ++counters_.mshr_stalls;
     }
     return now;
 }
 
 void
-Cache::runPrefetcher(const MemRequest &req, bool hit, uint64_t now)
+Cache::issuePrefetches(const MemRequest &req, bool hit, uint64_t now)
 {
-    if (!prefetcher_ || in_prefetch_)
-        return;
     // Reusing one buffer is safe: in_prefetch_ keeps the access(pf)
     // below from re-entering this cache's runPrefetcher while the
     // loop still reads it.
@@ -129,8 +140,8 @@ Cache::runPrefetcher(const MemRequest &req, bool hit, uint64_t now)
     in_prefetch_ = true;
     for (const auto &p : pf_proposals_) {
         const uint64_t line = CacheGeometry::lineAddress(p.address);
-        const uint32_t set = geom_.setIndex(line);
-        if (lookup(set, geom_.tag(line)) != kNoWay)
+        const uint32_t set = setOf(line);
+        if (lookup(set, tagOf(line)) != kNoWay)
             continue; // already present or in flight
         MemRequest pf;
         pf.address = line;
@@ -149,8 +160,8 @@ Cache::access(const MemRequest &req, uint64_t now)
 {
     now += geom_.latency;
     const uint64_t line = CacheGeometry::lineAddress(req.address);
-    const uint64_t tag = geom_.tag(line);
-    const uint32_t set = geom_.setIndex(line);
+    const uint64_t tag = tagOf(line);
+    const uint32_t set = setOf(line);
 
     const uint32_t hit_way = lookup(set, tag);
     const bool demand = trace::isDemand(req.type);
@@ -248,7 +259,7 @@ bool
 Cache::fill(const MemRequest &req, uint64_t ready, bool dirty)
 {
     const uint64_t line = CacheGeometry::lineAddress(req.address);
-    const uint32_t set = geom_.setIndex(line);
+    const uint32_t set = setOf(line);
     const size_t base = static_cast<size_t>(set) * geom_.ways;
 
     uint32_t way = geom_.ways;
@@ -260,13 +271,9 @@ Cache::fill(const MemRequest &req, uint64_t ready, bool dirty)
     }
 
     if (way == geom_.ways) {
-        for (uint32_t w = 0; w < geom_.ways; ++w) {
-            view_scratch_[w] =
-                BlockView{valid_[base + w] != 0,
-                          dirty_[base + w] != 0,
-                          prefetch_[base + w] != 0, addr_[base + w]};
-        }
-        const std::span<const BlockView> views{view_scratch_.data(),
+        // Every way is valid: the policy sees the set's
+        // line-address lane in place.
+        const std::span<const uint64_t> addrs{addr_.data() + base,
                                               geom_.ways};
         AccessContext ctx;
         ctx.cpu = req.cpu;
@@ -275,7 +282,7 @@ Cache::fill(const MemRequest &req, uint64_t ready, bool dirty)
         ctx.pc = req.pc;
         ctx.type = req.type;
         ctx.hit = false;
-        way = policy_->findVictim(ctx, views);
+        way = policy_->findVictim(ctx, addrs);
 
         if (way == ReplacementPolicy::kBypass) {
             if (req.type != trace::AccessType::Writeback) {
@@ -288,7 +295,7 @@ Cache::fill(const MemRequest &req, uint64_t ready, bool dirty)
             // re-query for a real victim.
             ++counters_.wb_bypass_denied;
             ctx.allow_bypass = false;
-            way = policy_->findVictim(ctx, views);
+            way = policy_->findVictim(ctx, addrs);
             if (way == ReplacementPolicy::kBypass) {
                 // Non-conforming policy (ignores allow_bypass):
                 // last-resort way 0 rather than dropping the line.
@@ -327,7 +334,7 @@ Cache::fill(const MemRequest &req, uint64_t ready, bool dirty)
     valid_[i] = 1;
     dirty_[i] = dirty ? 1 : 0;
     prefetch_[i] = req.type == trace::AccessType::Prefetch ? 1 : 0;
-    tag_[i] = geom_.tag(line);
+    tag_[i] = tagOf(line);
     addr_[i] = line;
     ready_at_[i] = ready;
 
@@ -365,7 +372,7 @@ bool
 Cache::probe(uint64_t address) const
 {
     const uint64_t line = CacheGeometry::lineAddress(address);
-    return lookup(geom_.setIndex(line), geom_.tag(line)) != kNoWay;
+    return lookup(setOf(line), tagOf(line)) != kNoWay;
 }
 
 std::vector<BlockView>
@@ -433,8 +440,7 @@ Cache::flush()
     std::fill(tag_.begin(), tag_.end(), 0);
     std::fill(addr_.begin(), addr_.end(), 0);
     std::fill(ready_at_.begin(), ready_at_.end(), 0);
-    while (!inflight_.empty())
-        inflight_.pop();
+    inflight_count_ = 0;
     resetStats();
     // The policy's metadata describes lines that no longer exist;
     // without this, stale LRU stacks / RRPVs / signatures / ages

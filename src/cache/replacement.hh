@@ -2,8 +2,8 @@
  * @file
  * Replacement-policy interface, CRC2-flavoured but idiomatic C++.
  *
- * The cache calls `findVictim` on every fill and `onAccess` on
- * every lookup (hit or fill). Policies own all of their metadata,
+ * The cache calls `findVictim` on every fill into a full set and
+ * `onAccess` on every lookup (hit or fill). Policies own all of their metadata,
  * sized at bind() time from the cache geometry, and report a
  * storage-overhead model used to regenerate the paper's Table I.
  *
@@ -146,12 +146,17 @@ class ReplacementPolicy
     /**
      * Choose a victim way for a fill into ctx.set. The cache fills
      * invalid ways itself; this is only called when the set is
-     * full. @p blocks has one entry per way.
+     * full, so every way holds a valid line. @p line_addrs is the
+     * set's line-address lane, one line-aligned byte address per
+     * way, read in place from the cache's storage (no per-call
+     * copy); policies needing more per-block state keep it in
+     * their own metadata.
      * @return a way index, or kBypass to skip caching the line
      *         (only honoured for non-writeback fills).
      */
-    virtual uint32_t findVictim(const AccessContext &ctx,
-                                std::span<const BlockView> blocks) = 0;
+    virtual uint32_t
+    findVictim(const AccessContext &ctx,
+               std::span<const uint64_t> line_addrs) = 0;
 
     /**
      * Observe an access: called on every hit and on every fill

@@ -178,9 +178,9 @@ RlrPolicy::linePriority(uint32_t set, uint32_t way) const
 
 uint32_t
 RlrPolicy::findVictim(const cache::AccessContext &ctx,
-                      std::span<const cache::BlockView> blocks)
+                      std::span<const uint64_t> line_addrs)
 {
-    (void)blocks;
+    (void)line_addrs;
     const uint32_t set = ctx.set;
 
     if (config_.allow_bypass && ctx.allow_bypass &&

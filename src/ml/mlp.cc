@@ -16,7 +16,8 @@ Mlp::Mlp(MlpConfig config, uint64_t seed)
       v_w1_(config.hidden, config.inputs),
       v_b1_(config.hidden, 0.0f),
       v_w2_(config.outputs, config.hidden),
-      v_b2_(config.outputs, 0.0f)
+      v_b2_(config.outputs, 0.0f), hidden_(config.hidden),
+      delta_h_(config.hidden)
 {
     util::Rng rng(seed);
     w1_.initXavier(rng);
@@ -46,7 +47,7 @@ Mlp::trainAction(std::span<const float> input, size_t action,
     util::ensure(action < config_.outputs, "Mlp: bad action");
 
     // Forward, keeping activations for backprop.
-    std::vector<float> hidden(config_.hidden);
+    std::vector<float> &hidden = hidden_;
     w1_.matvec(input, hidden);
     for (size_t h = 0; h < hidden.size(); ++h)
         hidden[h] = std::tanh(hidden[h] + b1_[h]);
@@ -65,7 +66,7 @@ Mlp::trainAction(std::span<const float> input, size_t action,
     const float lr = config_.learning_rate;
     const float mu = config_.momentum;
 
-    std::vector<float> delta_h(config_.hidden);
+    std::vector<float> &delta_h = delta_h_;
     for (size_t h = 0; h < config_.hidden; ++h) {
         delta_h[h] = err * w2_row[h] *
                      (1.0f - hidden[h] * hidden[h]);

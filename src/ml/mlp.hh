@@ -83,6 +83,11 @@ class Mlp
     Matrix v_w2_;
     std::vector<float> v_b2_;
 
+    /** trainAction() scratch: hidden activations and their
+     *  deltas, sized once so a training step allocates nothing. */
+    std::vector<float> hidden_;
+    std::vector<float> delta_h_;
+
     double last_loss_ = 0.0;
 };
 

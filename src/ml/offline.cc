@@ -38,7 +38,7 @@ OfflineSimulator::OfflineSimulator(OfflineConfig config,
     : config_(config), trace_(trace), ways_(config.ways),
       num_sets_(static_cast<uint32_t>(
           config.size_bytes / (cache::kLineBytes * config.ways))),
-      extractor_(ways_, num_sets_),
+      extractor_(ways_, num_sets_), victim_addrs_(ways_),
       oracle_(std::make_shared<policies::BeladyOracle>(*trace))
 {
     util::ensure(trace_ != nullptr, "OfflineSimulator: null trace");
@@ -271,14 +271,10 @@ OfflineSimulator::replayPolicy(cache::ReplacementPolicy &policy)
             }
         }
         if (victim == ways_) {
-            std::vector<cache::BlockView> views(ways_);
-            for (uint32_t w = 0; w < ways_; ++w) {
-                const LineFeatures &lf = lines_[base + w];
-                views[w] = cache::BlockView{lf.valid, lf.dirty,
-                                            false, lf.address};
-            }
+            for (uint32_t w = 0; w < ways_; ++w)
+                victim_addrs_[w] = lines_[base + w].address;
             ctx.hit = false;
-            victim = policy.findVictim(ctx, views);
+            victim = policy.findVictim(ctx, victim_addrs_);
             if (victim == cache::ReplacementPolicy::kBypass &&
                 access.type != trace::AccessType::Writeback) {
                 ++stats.bypasses;

@@ -148,6 +148,8 @@ class OfflineSimulator
     uint32_t ways_;
     uint32_t num_sets_;
     FeatureExtractor extractor_;
+    /** Reused findVictim() argument: a full set's line addresses. */
+    std::vector<uint64_t> victim_addrs_;
     std::shared_ptr<policies::BeladyOracle> oracle_;
 
     std::vector<LineFeatures> lines_;

@@ -44,13 +44,12 @@ BeladyPolicy::bind(const cache::CacheGeometry &geom)
 
 uint32_t
 BeladyPolicy::findVictim(const cache::AccessContext &ctx,
-                         std::span<const cache::BlockView> blocks)
+                         std::span<const uint64_t> line_addrs)
 {
     uint32_t victim = 0;
     uint64_t farthest = 0;
-    for (uint32_t w = 0; w < blocks.size(); ++w) {
-        const uint64_t next =
-            oracle_->nextUse(blocks[w].address, seq_);
+    for (uint32_t w = 0; w < line_addrs.size(); ++w) {
+        const uint64_t next = oracle_->nextUse(line_addrs[w], seq_);
         if (next == BeladyOracle::kNever)
             return w;
         if (next > farthest) {

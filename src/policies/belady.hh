@@ -70,7 +70,7 @@ class BeladyPolicy : public cache::ReplacementPolicy
     void bind(const cache::CacheGeometry &geom) override;
     uint32_t
     findVictim(const cache::AccessContext &ctx,
-               std::span<const cache::BlockView> blocks) override;
+               std::span<const uint64_t> line_addrs) override;
     void onAccess(const cache::AccessContext &ctx) override;
     std::string name() const override { return "Belady"; }
     cache::StorageOverhead overhead() const override;

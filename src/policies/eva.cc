@@ -105,9 +105,9 @@ EvaPolicy::recompute()
 
 uint32_t
 EvaPolicy::findVictim(const cache::AccessContext &ctx,
-                      std::span<const cache::BlockView> blocks)
+                      std::span<const uint64_t> line_addrs)
 {
-    (void)blocks;
+    (void)line_addrs;
     const size_t base = static_cast<size_t>(ctx.set) * ways_;
     uint32_t victim = 0;
     double lowest = 1e300;

@@ -148,9 +148,9 @@ GliderPolicy::predictsFriendly(uint64_t pc) const
 
 uint32_t
 GliderPolicy::findVictim(const cache::AccessContext &ctx,
-                         std::span<const cache::BlockView> blocks)
+                         std::span<const uint64_t> line_addrs)
 {
-    (void)blocks;
+    (void)line_addrs;
     const size_t base = static_cast<size_t>(ctx.set) * ways_;
     for (uint32_t w = 0; w < ways_; ++w) {
         if (lines_[base + w].rrpv == max_rrpv_)

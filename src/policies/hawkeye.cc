@@ -138,9 +138,9 @@ HawkeyePolicy::trainOnSample(SamplerSet &samp, uint64_t line_addr,
 
 uint32_t
 HawkeyePolicy::findVictim(const cache::AccessContext &ctx,
-                          std::span<const cache::BlockView> blocks)
+                          std::span<const uint64_t> line_addrs)
 {
-    (void)blocks;
+    (void)line_addrs;
     const size_t base = static_cast<size_t>(ctx.set) * ways_;
 
     // Prefer a cache-averse line.

@@ -44,7 +44,7 @@ class HawkeyePolicy : public cache::ReplacementPolicy
     void bind(const cache::CacheGeometry &geom) override;
     uint32_t
     findVictim(const cache::AccessContext &ctx,
-               std::span<const cache::BlockView> blocks) override;
+               std::span<const uint64_t> line_addrs) override;
     void onAccess(const cache::AccessContext &ctx) override;
     std::string name() const override { return "Hawkeye"; }
     bool usesPc() const override { return true; }

@@ -18,9 +18,9 @@ LruPolicy::bind(const cache::CacheGeometry &geom)
 
 uint32_t
 LruPolicy::findVictim(const cache::AccessContext &ctx,
-                      std::span<const cache::BlockView> blocks)
+                      std::span<const uint64_t> line_addrs)
 {
-    (void)blocks;
+    (void)line_addrs;
     const size_t base = static_cast<size_t>(ctx.set) * ways_;
     uint32_t victim = 0;
     uint64_t oldest = last_use_[base];

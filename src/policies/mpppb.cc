@@ -93,9 +93,9 @@ MpppbPolicy::predict(uint64_t pc, uint64_t address,
 
 uint32_t
 MpppbPolicy::findVictim(const cache::AccessContext &ctx,
-                        std::span<const cache::BlockView> blocks)
+                        std::span<const uint64_t> line_addrs)
 {
-    (void)blocks;
+    (void)line_addrs;
     // Bypass confidently dead fills.
     if (config_.allow_bypass && ctx.allow_bypass &&
         ctx.type != trace::AccessType::Writeback) {

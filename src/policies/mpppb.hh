@@ -49,7 +49,7 @@ class MpppbPolicy : public cache::ReplacementPolicy
     void bind(const cache::CacheGeometry &geom) override;
     uint32_t
     findVictim(const cache::AccessContext &ctx,
-               std::span<const cache::BlockView> blocks) override;
+               std::span<const uint64_t> line_addrs) override;
     void onAccess(const cache::AccessContext &ctx) override;
     void onEviction(uint32_t set, uint32_t way,
                     const cache::BlockView &block) override;

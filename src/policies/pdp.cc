@@ -71,9 +71,9 @@ PdpPolicy::recomputePd()
 
 uint32_t
 PdpPolicy::findVictim(const cache::AccessContext &ctx,
-                      std::span<const cache::BlockView> blocks)
+                      std::span<const uint64_t> line_addrs)
 {
-    (void)blocks;
+    (void)line_addrs;
     const size_t base = static_cast<size_t>(ctx.set) * ways_;
 
     // Prefer the unprotected line with the largest age.

@@ -23,10 +23,10 @@ RandomPolicy::reset(const cache::CacheGeometry &geom)
 
 uint32_t
 RandomPolicy::findVictim(const cache::AccessContext &ctx,
-                         std::span<const cache::BlockView> blocks)
+                         std::span<const uint64_t> line_addrs)
 {
     (void)ctx;
-    (void)blocks;
+    (void)line_addrs;
     return static_cast<uint32_t>(rng_.nextBounded(ways_));
 }
 

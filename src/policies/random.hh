@@ -23,7 +23,7 @@ class RandomPolicy : public cache::ReplacementPolicy
     void reset(const cache::CacheGeometry &geom) override;
     uint32_t
     findVictim(const cache::AccessContext &ctx,
-               std::span<const cache::BlockView> blocks) override;
+               std::span<const uint64_t> line_addrs) override;
     void onAccess(const cache::AccessContext &ctx) override;
     std::string name() const override { return "Random"; }
     cache::StorageOverhead overhead() const override;

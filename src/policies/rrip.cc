@@ -38,9 +38,9 @@ RripBase::setRrpv(uint32_t set, uint32_t way, uint8_t value)
 
 uint32_t
 RripBase::findVictim(const cache::AccessContext &ctx,
-                     std::span<const cache::BlockView> blocks)
+                     std::span<const uint64_t> line_addrs)
 {
-    (void)blocks;
+    (void)line_addrs;
     const size_t base = static_cast<size_t>(ctx.set) * ways_;
     // Age until some line reaches the distant-future RRPV; bounded
     // by max_rrpv_ iterations.

@@ -31,7 +31,7 @@ class RripBase : public cache::ReplacementPolicy
     void bind(const cache::CacheGeometry &geom) override;
     uint32_t
     findVictim(const cache::AccessContext &ctx,
-               std::span<const cache::BlockView> blocks) override;
+               std::span<const uint64_t> line_addrs) override;
     void onAccess(const cache::AccessContext &ctx) override;
     void verifyInvariants(
         uint32_t set,

@@ -71,9 +71,9 @@ ShipPolicy::agingVictim(uint32_t set)
 
 uint32_t
 ShipPolicy::findVictim(const cache::AccessContext &ctx,
-                       std::span<const cache::BlockView> blocks)
+                       std::span<const uint64_t> line_addrs)
 {
-    (void)blocks;
+    (void)line_addrs;
     return agingVictim(ctx.set);
 }
 

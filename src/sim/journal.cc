@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <stdexcept>
 
 #include "stats/export.hh"
@@ -479,13 +480,16 @@ SweepJournal::markInFlight(uint64_t spec_hash,
     body += util::format("  \"attempt\": {},\n", attempt);
     body += "  \"eor\": 1\n";
     body += "}\n";
-    try {
-        util::atomicWriteFile(
-            dir_ + "/inflight-" + hex16(spec_hash) + ".json",
-            body);
-    } catch (const std::exception &e) {
-        util::warn("cannot mark cell {}:{} in flight: {}",
-                   spec.workload, spec.policy, e.what());
+    // Written in place and not fsynced: a marker is advisory, and
+    // one a crash tears or loses costs only its `inspect --journal`
+    // line (a torn marker is still listed, by age). Only records
+    // and the header pay for durability.
+    const std::string path =
+        dir_ + "/inflight-" + hex16(spec_hash) + ".json";
+    std::ofstream out(path, std::ios::trunc);
+    if (!(out << body).flush()) {
+        util::warn("cannot mark cell {}:{} in flight: cannot write {}",
+                   spec.workload, spec.policy, path);
     }
 }
 

@@ -15,9 +15,12 @@
  *                                `inspect --journal` can show
  *                                stuck cells and their age
  *
- * Every file is written with util::atomicWriteFile (tmp + fsync +
- * rename), so a crash at any instant leaves either no record or a
- * complete one — never a torn write. Records additionally end in
+ * The header and every record are written with
+ * util::atomicWriteFile (tmp + fsync + rename + directory fsync),
+ * so a crash at any instant leaves either no record or a complete
+ * one — never a torn write. In-flight markers are advisory and
+ * written in place without fsync: a crash may tear or lose one,
+ * which `inspect --journal` still lists by age. Records additionally end in
  * an "eor" member so a truncated file (e.g. from a corrupting
  * filesystem) fails to parse and is detected on load.
  *
@@ -136,8 +139,9 @@ class SweepJournal
      * to run. The marker (named by spec hash, age readable from
      * its mtime) is removed when append() records the outcome; a
      * marker that outlives the sweep marks the cell a crash took
-     * down mid-run. Failures only warn — liveness breadcrumbs
-     * must never fail a sweep.
+     * down mid-run. Written in place without fsync, so a cell's
+     * durable cost is its record's two fsyncs alone. Failures
+     * only warn — liveness breadcrumbs must never fail a sweep.
      */
     void markInFlight(uint64_t spec_hash,
                       const SweepRunner::CellSpec &spec,

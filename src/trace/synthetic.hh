@@ -127,15 +127,35 @@ class SyntheticGenerator : public InstructionSource
   private:
     struct KernelState;
 
-    uint64_t nextMemAddress(size_t kernel_idx, bool &is_store,
+    uint64_t nextMemAddress(KernelState &ks, bool &is_store,
                             bool &dependent);
     void emitBranch(Instruction &out);
 
     WorkloadProfile profile_;
     uint64_t seed_;
     util::Rng rng_;
-    std::vector<std::unique_ptr<KernelState>> kernels_;
-    std::vector<double> kernel_cdf_;
+    std::vector<KernelState> kernels_;
+
+    // The profile's per-instruction decisions, converted once into
+    // integer thresholds on util::Rng draws. Each makes the same
+    // decision from the same draw as the double compare it
+    // stands for.
+
+    /** r < mem_ratio, and r < mem_ratio + branch_ratio. */
+    uint64_t mem_below_ = 0;
+    uint64_t branch_below_ = 0;
+    /** u > (kernel weight CDF)[k], for every kernel but the last. */
+    std::vector<uint64_t> kernel_pick_;
+    util::Rng::Odds local_odds_;
+    util::Rng::Odds local_write_odds_;
+    util::Rng::Odds noise_odds_;
+    /** Lines in the local region. */
+    uint64_t local_lines_ = 1;
+    /** Code footprint in bytes, at least one line. */
+    uint64_t footprint_ = 64;
+    /** (seq_ * 4) % footprint_, advanced with seq_. */
+    uint64_t fetch_off_ = 0;
+
     uint64_t seq_ = 0;
     uint8_t next_dest_reg_ = 2;
     uint64_t loop_branch_pc_ = 0;

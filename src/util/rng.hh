@@ -53,6 +53,11 @@ class Rng
     nextBounded(uint64_t bound)
     {
         ensure(bound > 0, "Rng::nextBounded: zero bound");
+        // A power of two divides 2^64: the rejection threshold
+        // below is 0 and r % bound is a mask, so this is the same
+        // draw without the two divisions.
+        if ((bound & (bound - 1)) == 0)
+            return next() & (bound - 1);
         // Rejection sampling to avoid modulo bias.
         const uint64_t threshold = -bound % bound;
         for (;;) {
@@ -65,12 +70,77 @@ class Rng
     /** @return uniform integer in [lo, hi] inclusive. */
     int64_t nextRange(int64_t lo, int64_t hi);
 
-    /** @return uniform double in [0, 1). */
+    /** Number of distinct nextBits53() values: 2^53. */
+    static constexpr uint64_t kDraws = 1ULL << 53;
+
+    /** @return the 53 random bits nextDouble() scales into [0, 1). */
+    uint64_t nextBits53() { return next() >> 11; }
+
+    /** @return uniform double in [0, 1): nextBits53() * 2^-53. */
     double
     nextDouble()
     {
-        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+        return static_cast<double>(nextBits53()) * 0x1.0p-53;
     }
+
+    /**
+     * Integer form of `nextDouble() < p`. For a draw x =
+     * nextBits53(), x * 2^-53 < p exactly when x < drawsBelow(p):
+     * both sides scale by 2^53 without rounding, and x is an
+     * integer, so the bound is ceil(p * 2^53), clamped to
+     * [0, kDraws]. NaN gives 0, as `u < NaN` is always false.
+     */
+    static constexpr uint64_t
+    drawsBelow(double p)
+    {
+        if (!(p > 0.0))
+            return 0;
+        if (p >= 1.0)
+            return kDraws;
+        const double scaled = p * 0x1.0p53;
+        const auto whole = static_cast<uint64_t>(scaled); // < 2^53
+        return whole + (static_cast<double>(whole) < scaled ? 1 : 0);
+    }
+
+    /**
+     * Integer form of `nextDouble() > c`: x * 2^-53 > c exactly
+     * when x >= firstDrawAbove(c), which is floor(c * 2^53) + 1,
+     * clamped to [0, kDraws]. NaN gives kDraws, as `u > NaN` is
+     * always false.
+     */
+    static constexpr uint64_t
+    firstDrawAbove(double c)
+    {
+        if (!(c < 1.0))
+            return kDraws;
+        if (c < 0.0)
+            return 0;
+        return static_cast<uint64_t>(c * 0x1.0p53) + 1;
+    }
+
+    /**
+     * A probability converted once for chance(Odds): the same
+     * decisions and the same draws as chance(p), with an integer
+     * compare in place of a double conversion per call.
+     */
+    class Odds
+    {
+      public:
+        constexpr explicit Odds(double p = 0.0)
+            : below_(p <= 0.0   ? kNever
+                     : p >= 1.0 ? kAlways
+                                : drawsBelow(p))
+        {
+        }
+
+      private:
+        friend class Rng;
+        /** chance(p) returns false / true without drawing. */
+        static constexpr uint64_t kNever = ~0ULL - 1;
+        static constexpr uint64_t kAlways = ~0ULL;
+        /** drawsBelow(p), or kNever / kAlways. */
+        uint64_t below_;
+    };
 
     /** @return true with probability @p p. */
     bool
@@ -81,6 +151,15 @@ class Rng
         if (p >= 1.0)
             return true;
         return nextDouble() < p;
+    }
+
+    /** @return chance(p) for the p @p odds was built from. */
+    bool
+    chance(Odds odds)
+    {
+        if (odds.below_ > kDraws)
+            return odds.below_ == Odds::kAlways;
+        return nextBits53() < odds.below_;
     }
 
     /** @return geometric sample: number of failures before success. */

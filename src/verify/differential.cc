@@ -262,9 +262,9 @@ MutantPolicy::bind(const cache::CacheGeometry &geom)
 
 uint32_t
 MutantPolicy::findVictim(const cache::AccessContext &ctx,
-                         std::span<const cache::BlockView> blocks)
+                         std::span<const uint64_t> line_addrs)
 {
-    uint32_t victim = inner_->findVictim(ctx, blocks);
+    uint32_t victim = inner_->findVictim(ctx, line_addrs);
     ++calls_;
     if (calls_ % period_ == 0 && victim != kBypass)
         victim = (victim + 1) % ways_;

@@ -35,15 +35,14 @@ TEST(BeladyPolicy, EvictsFarthest)
     p.bind(test::tinyGeometry());
     p.setPosition(4); // after filling 1..4, access 5 misses
 
-    std::vector<cache::BlockView> blocks(4);
+    std::vector<uint64_t> line_addrs(4);
     for (uint32_t w = 0; w < 4; ++w)
-        blocks[w] = cache::BlockView{true, false, false,
-                                     (w + 1) * 64ull};
+        line_addrs[w] = (w + 1) * 64ull;
     cache::AccessContext miss;
     miss.full_addr = 5 * 64;
     // Next uses after position 4: line1@5, line2@6, line3@7,
     // line4@8 -> farthest is line 4 (way 3).
-    EXPECT_EQ(p.findVictim(miss, blocks), 3u);
+    EXPECT_EQ(p.findVictim(miss, line_addrs), 3u);
 }
 
 TEST(BeladyPolicy, NeverUsedEvictedFirst)
@@ -54,13 +53,12 @@ TEST(BeladyPolicy, NeverUsedEvictedFirst)
     BeladyPolicy p(oracle);
     p.bind(test::tinyGeometry());
     p.setPosition(4); // deciding the miss to line 5
-    std::vector<cache::BlockView> blocks(4);
+    std::vector<uint64_t> line_addrs(4);
     for (uint32_t w = 0; w < 4; ++w)
-        blocks[w] = cache::BlockView{true, false, false,
-                                     (w + 1) * 64ull};
+        line_addrs[w] = (w + 1) * 64ull;
     cache::AccessContext miss;
     // Line 3 is never used again -> way 2.
-    EXPECT_EQ(p.findVictim(miss, blocks), 2u);
+    EXPECT_EQ(p.findVictim(miss, line_addrs), 2u);
 }
 
 /**

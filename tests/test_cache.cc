@@ -5,7 +5,9 @@
 #include "cache/cache.hh"
 #include "policies/lru.hh"
 #include "policies/rrip.hh"
+#include "sim/system.hh"
 #include "stats/registry.hh"
+#include "util/rng.hh"
 
 using namespace rlr;
 using namespace rlr::cache;
@@ -47,7 +49,7 @@ class BypassPolicy : public ReplacementPolicy
     void bind(const CacheGeometry &) override {}
     uint32_t
     findVictim(const AccessContext &,
-               std::span<const BlockView>) override
+               std::span<const uint64_t>) override
     {
         return kBypass;
     }
@@ -67,7 +69,7 @@ class WbBypassPolicy : public ReplacementPolicy
     void bind(const CacheGeometry &) override {}
     uint32_t
     findVictim(const AccessContext &ctx,
-               std::span<const BlockView>) override
+               std::span<const uint64_t>) override
     {
         return ctx.allow_bypass ? kBypass : 2u;
     }
@@ -83,7 +85,7 @@ class VerifyCountingPolicy : public ReplacementPolicy
     void bind(const CacheGeometry &) override {}
     uint32_t
     findVictim(const AccessContext &,
-               std::span<const BlockView>) override
+               std::span<const uint64_t>) override
     {
         return 0;
     }
@@ -570,4 +572,72 @@ TEST(CacheGeometryTest, Derived)
         (tag << (kLineBits + g.setBits())) |
         (static_cast<uint64_t>(set) << kLineBits);
     EXPECT_EQ(line, CacheGeometry::lineAddress(addr));
+}
+
+TEST(Cache, OverlappingMissesWithTiedCompletionsPinTiming)
+{
+    // Two MSHRs, five overlapping misses, and completion times
+    // that tie: which of two equal entries frees first must not
+    // matter, and every returned ready cycle is pinned. Lookup 10
+    // cycles, memory 100.
+    FakeMemory mem(100);
+    CacheGeometry g = smallGeometry();
+    g.mshrs = 2;
+    Cache c(g, std::make_unique<policies::LruPolicy>(), &mem);
+    struct Step
+    {
+        uint64_t address;
+        uint64_t now;
+        uint64_t ready;
+    };
+    const Step steps[] = {
+        {0x10000, 0, 110},   // in flight: 110
+        {0x20000, 0, 110},   // 110 110 (tie)
+        {0x30000, 0, 210},   // stalls to 110: 110 210
+        {0x40000, 0, 210},   // stalls to the other 110: 210 210
+        {0x50000, 5, 310},   // stalls to a 210: 210 310
+        {0x60000, 200, 310}, // 210 has freed: 310 310
+        {0x70000, 300, 410}, // both freed at 310: 410
+    };
+    for (const Step &s : steps) {
+        EXPECT_EQ(c.access(load(s.address), s.now), s.ready)
+            << std::hex << s.address;
+    }
+    EXPECT_EQ(exported(c, "mshr_stalls"), 3u);
+    EXPECT_EQ(exported(c, "LD_miss"), 7u);
+
+    // Three MSHRs, four misses all completing at once, then a
+    // fifth: the stalls take the tied entries one at a time.
+    Cache c3([] {
+        CacheGeometry g3 = smallGeometry();
+        g3.mshrs = 3;
+        return g3;
+    }(), std::make_unique<policies::LruPolicy>(), &mem);
+    const uint64_t t3[] = {110, 110, 110, 210, 210};
+    for (uint64_t i = 0; i < 5; ++i) {
+        EXPECT_EQ(c3.access(load(0x10000 * (i + 1)), 0), t3[i]) << i;
+    }
+    EXPECT_EQ(exported(c3, "mshr_stalls"), 2u);
+}
+
+TEST(Cache, PrecomputedIndexingMatchesGeometry)
+{
+    // The mask and shift each cache derives once must agree with
+    // CacheGeometry's own setIndex and tag, at every level of the
+    // simulated hierarchy (the 4-core system's 8 MB LLC too).
+    util::Rng rng(3);
+    for (const uint32_t cores : {1u, 4u}) {
+        sim::SystemConfig cfg;
+        cfg.num_cores = cores;
+        sim::System system(cfg);
+        for (Cache *c : {&system.l1i(0), &system.l1d(0), &system.l2(0),
+                         &system.llc()}) {
+            const CacheGeometry &geom = c->geometry();
+            for (uint64_t i = 0; i < 10000; ++i) {
+                const uint64_t a = i < 64 ? ~i : rng.next();
+                ASSERT_EQ(c->setOf(a), geom.setIndex(a)) << geom.name;
+                ASSERT_EQ(c->tagOf(a), geom.tag(a)) << geom.name;
+            }
+        }
+    }
 }

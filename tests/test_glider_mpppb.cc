@@ -144,13 +144,13 @@ TEST(Mpppb, BypassesConfidentlyDeadFills)
         p.onEviction(0, 2,
                      cache::BlockView{true, false, false, 0xa000});
     }
-    std::vector<cache::BlockView> blocks(4);
+    std::vector<uint64_t> line_addrs(4);
     cache::AccessContext miss = c;
-    EXPECT_EQ(p.findVictim(miss, blocks),
+    EXPECT_EQ(p.findVictim(miss, line_addrs),
               cache::ReplacementPolicy::kBypass);
     // Writebacks never bypass.
     miss.type = trace::AccessType::Writeback;
-    EXPECT_NE(p.findVictim(miss, blocks),
+    EXPECT_NE(p.findVictim(miss, line_addrs),
               cache::ReplacementPolicy::kBypass);
 }
 

@@ -11,7 +11,9 @@
  * then asserts that the next instructions make no heap allocation
  * at all. A string-keyed counter lookup on the hot path, a vector
  * built per access or a std::deque ROB each show up here as
- * thousands of allocations, whatever the host's speed.
+ * thousands of allocations, whatever the host's speed. The
+ * offline LLC simulator's policy replay is held to the same rule
+ * per eviction.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +24,8 @@
 #include <string>
 #include <tuple>
 
+#include "ml/offline.hh"
+#include "policies/lru.hh"
 #include "sim/system.hh"
 #include "trace/workloads.hh"
 
@@ -105,6 +109,49 @@ TEST(HotPath, CounterSeesAllocations)
     EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before,
               1u);
     EXPECT_EQ(s.size(), 64u);
+}
+
+TEST(HotPath, OfflineLruReplayAllocatesNothingPerEviction)
+{
+    // A trace that thrashes every set of a 64-set, 16-way LLC:
+    // 17 lines per set in a cycle, so under LRU every access after
+    // the first lap misses and evicts. Replaying 20 or 40 laps
+    // must allocate the same number of times (the first lap's
+    // per-line history entries and the per-run state), so the
+    // extra 20 laps of evictions allocate nothing.
+    ml::OfflineConfig cfg;
+    cfg.size_bytes = 64 * 16 * 64;
+    cfg.ways = 16;
+    const auto laps = [](int n) {
+        trace::LlcTrace t;
+        for (int lap = 0; lap < n; ++lap) {
+            for (uint64_t line = 0; line < 64 * 17; ++line)
+                t.append({0x400, line * 64, trace::AccessType::Load, 0});
+        }
+        return t;
+    };
+    const auto replay = [&cfg](const trace::LlcTrace &t,
+                               ml::OfflineStats &stats) {
+        ml::OfflineSimulator sim(cfg, &t);
+        policies::LruPolicy lru;
+        const uint64_t before =
+            g_allocations.load(std::memory_order_relaxed);
+        stats = sim.runPolicy(lru);
+        return g_allocations.load(std::memory_order_relaxed) - before;
+    };
+    const trace::LlcTrace short_trace = laps(20);
+    const trace::LlcTrace long_trace = laps(40);
+    ml::OfflineStats short_stats;
+    ml::OfflineStats long_stats;
+    const uint64_t short_allocs = replay(short_trace, short_stats);
+    const uint64_t long_allocs = replay(long_trace, long_stats);
+
+    EXPECT_EQ(short_stats.hits + long_stats.hits, 0u);
+    EXPECT_EQ(long_stats.evictions - short_stats.evictions,
+              20u * 64 * 17);
+    EXPECT_EQ(long_allocs, short_allocs)
+        << "the 21,760 evictions of laps 21-40 allocated "
+        << long_allocs - short_allocs << " times";
 }
 
 INSTANTIATE_TEST_SUITE_P(

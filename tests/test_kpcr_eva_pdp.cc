@@ -118,15 +118,15 @@ TEST(Pdp, BypassesWhenAllProtected)
         c.type = trace::AccessType::Load;
         p.onAccess(c);
     }
-    std::vector<cache::BlockView> blocks(4);
+    std::vector<uint64_t> line_addrs(4);
     cache::AccessContext miss;
     miss.set = 0;
     miss.type = trace::AccessType::Load;
-    EXPECT_EQ(p.findVictim(miss, blocks),
+    EXPECT_EQ(p.findVictim(miss, line_addrs),
               cache::ReplacementPolicy::kBypass);
     // Writebacks may not bypass.
     miss.type = trace::AccessType::Writeback;
-    EXPECT_NE(p.findVictim(miss, blocks),
+    EXPECT_NE(p.findVictim(miss, line_addrs),
               cache::ReplacementPolicy::kBypass);
 }
 

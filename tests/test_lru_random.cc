@@ -32,14 +32,14 @@ TEST(Lru, EvictsLeastRecentlyUsed)
     for (uint32_t w = 0; w < 4; ++w)
         lru.onAccess(touch(0, w, false));
     // Way 0 is oldest.
-    std::vector<cache::BlockView> blocks(4);
+    std::vector<uint64_t> line_addrs(4);
     cache::AccessContext miss;
     miss.set = 0;
-    EXPECT_EQ(lru.findVictim(miss, blocks), 0u);
+    EXPECT_EQ(lru.findVictim(miss, line_addrs), 0u);
 
     // Touch way 0; way 1 becomes LRU.
     lru.onAccess(touch(0, 0));
-    EXPECT_EQ(lru.findVictim(miss, blocks), 1u);
+    EXPECT_EQ(lru.findVictim(miss, line_addrs), 1u);
 }
 
 TEST(Lru, RecencyRankConsistent)
@@ -60,13 +60,13 @@ TEST(Lru, SetsAreIndependent)
         lru.onAccess(touch(0, w, false));
         lru.onAccess(touch(1, 3 - w, false));
     }
-    std::vector<cache::BlockView> blocks(4);
+    std::vector<uint64_t> line_addrs(4);
     cache::AccessContext m0;
     m0.set = 0;
     cache::AccessContext m1;
     m1.set = 1;
-    EXPECT_EQ(lru.findVictim(m0, blocks), 0u);
-    EXPECT_EQ(lru.findVictim(m1, blocks), 3u);
+    EXPECT_EQ(lru.findVictim(m0, line_addrs), 0u);
+    EXPECT_EQ(lru.findVictim(m1, line_addrs), 3u);
 }
 
 TEST(Lru, LruStackPropertyOnCyclicTrace)
@@ -99,21 +99,21 @@ TEST(RandomPolicyTest, Deterministic)
     RandomPolicy a(5), b(5);
     a.bind(test::tinyGeometry());
     b.bind(test::tinyGeometry());
-    std::vector<cache::BlockView> blocks(4);
+    std::vector<uint64_t> line_addrs(4);
     cache::AccessContext ctx;
     for (int i = 0; i < 50; ++i)
-        EXPECT_EQ(a.findVictim(ctx, blocks),
-                  b.findVictim(ctx, blocks));
+        EXPECT_EQ(a.findVictim(ctx, line_addrs),
+                  b.findVictim(ctx, line_addrs));
 }
 
 TEST(RandomPolicyTest, CoversAllWays)
 {
     RandomPolicy p(9);
     p.bind(test::tinyGeometry());
-    std::vector<cache::BlockView> blocks(4);
+    std::vector<uint64_t> line_addrs(4);
     cache::AccessContext ctx;
     std::set<uint32_t> seen;
     for (int i = 0; i < 200; ++i)
-        seen.insert(p.findVictim(ctx, blocks));
+        seen.insert(p.findVictim(ctx, line_addrs));
     EXPECT_EQ(seen.size(), 4u);
 }

@@ -84,7 +84,7 @@ class BypassAllPolicy : public cache::ReplacementPolicy
     void bind(const cache::CacheGeometry &) override {}
     uint32_t
     findVictim(const cache::AccessContext &,
-               std::span<const cache::BlockView>) override
+               std::span<const uint64_t>) override
     {
         return kBypass;
     }

@@ -65,10 +65,10 @@ TEST(Rlr, VictimIsLowestPriority)
     p.onAccess(acc(0, 2, false)); // 9
     p.onAccess(acc(0, 3, false)); // 9
     p.onAccess(acc(0, 0, true));  // 10
-    std::vector<cache::BlockView> blocks(4);
+    std::vector<uint64_t> line_addrs(4);
     cache::AccessContext miss;
     miss.set = 0;
-    EXPECT_EQ(p.findVictim(miss, blocks), 1u);
+    EXPECT_EQ(p.findVictim(miss, line_addrs), 1u);
 }
 
 TEST(Rlr, AgeExpiryDropsProtection)
@@ -118,10 +118,10 @@ TEST(Rlr, AgeDominatesTypeInVictimChoice)
         p.onAccess(acc(0, 2, false)); // age way 0 past RD
     p.onAccess(acc(0, 1, false, trace::AccessType::Prefetch));
     p.onAccess(acc(0, 3, false));
-    std::vector<cache::BlockView> blocks(4);
+    std::vector<uint64_t> line_addrs(4);
     cache::AccessContext miss;
     miss.set = 0;
-    EXPECT_EQ(p.findVictim(miss, blocks), 0u);
+    EXPECT_EQ(p.findVictim(miss, line_addrs), 0u);
 }
 
 TEST(Rlr, EqualPriorityEqualAgeBreaksTowardLowestWay)
@@ -135,10 +135,10 @@ TEST(Rlr, EqualPriorityEqualAgeBreaksTowardLowestWay)
     p.onAccess(acc(0, 3, false, trace::AccessType::Prefetch));
     p.onAccess(acc(0, 0, false)); // demand, higher priority
     p.onAccess(acc(0, 1, false));
-    std::vector<cache::BlockView> blocks(4);
+    std::vector<uint64_t> line_addrs(4);
     cache::AccessContext miss;
     miss.set = 0;
-    EXPECT_EQ(p.findVictim(miss, blocks), 2u);
+    EXPECT_EQ(p.findVictim(miss, line_addrs), 2u);
 }
 
 TEST(Rlr, UnoptimizedUsesExactRecency)
@@ -151,10 +151,10 @@ TEST(Rlr, UnoptimizedUsesExactRecency)
     // With RD = 1, ways 0 and 1 have aged past protection and tie
     // at the lowest priority; the most recently used of the two
     // (way 1) is evicted, per the paper's recency tie-break.
-    std::vector<cache::BlockView> blocks(4);
+    std::vector<uint64_t> line_addrs(4);
     cache::AccessContext miss;
     miss.set = 0;
-    EXPECT_EQ(p.findVictim(miss, blocks), 1u);
+    EXPECT_EQ(p.findVictim(miss, line_addrs), 1u);
 }
 
 TEST(Rlr, AblationFlagsChangePriorities)
@@ -183,15 +183,15 @@ TEST(Rlr, BypassWhenAllProtected)
     p.bind(test::tinyGeometry());
     for (uint32_t w = 0; w < 4; ++w)
         p.onAccess(acc(0, w, false));
-    std::vector<cache::BlockView> blocks(4);
+    std::vector<uint64_t> line_addrs(4);
     cache::AccessContext miss;
     miss.set = 0;
     miss.type = trace::AccessType::Load;
-    EXPECT_EQ(p.findVictim(miss, blocks),
+    EXPECT_EQ(p.findVictim(miss, line_addrs),
               cache::ReplacementPolicy::kBypass);
     // Writebacks never bypass.
     miss.type = trace::AccessType::Writeback;
-    EXPECT_NE(p.findVictim(miss, blocks),
+    EXPECT_NE(p.findVictim(miss, line_addrs),
               cache::ReplacementPolicy::kBypass);
 }
 
@@ -227,11 +227,11 @@ TEST(Rlr, OptimizedBypassUsesScaledAges)
     // Scaled ages (24) exceed RD: a fill must evict, not bypass.
     // With the unit-mismatch bug the raw ages (3) stayed below RD
     // and every fill bypassed.
-    std::vector<cache::BlockView> blocks(4);
+    std::vector<uint64_t> line_addrs(4);
     cache::AccessContext miss;
     miss.set = 0;
     miss.type = trace::AccessType::Load;
-    EXPECT_NE(p.findVictim(miss, blocks),
+    EXPECT_NE(p.findVictim(miss, line_addrs),
               cache::ReplacementPolicy::kBypass);
 }
 
@@ -242,7 +242,7 @@ TEST(Rlr, UnoptimizedBypassPath)
     RlrPolicy p(cfg);
     p.bind(test::tinyGeometry());
 
-    std::vector<cache::BlockView> blocks(4);
+    std::vector<uint64_t> line_addrs(4);
     cache::AccessContext miss;
     miss.set = 0;
     miss.type = trace::AccessType::Load;
@@ -251,7 +251,7 @@ TEST(Rlr, UnoptimizedBypassPath)
     // RD = 1, so ways 0 and 1 have expired -> no bypass.
     for (uint32_t w = 0; w < 4; ++w)
         p.onAccess(acc(0, w, false));
-    EXPECT_NE(p.findVictim(miss, blocks),
+    EXPECT_NE(p.findVictim(miss, line_addrs),
               cache::ReplacementPolicy::kBypass);
 
     // Round-robin demand hits: every line's preuse distance is 4
@@ -260,7 +260,7 @@ TEST(Rlr, UnoptimizedBypassPath)
     for (int i = 0; i < 32; ++i)
         p.onAccess(acc(0, static_cast<uint32_t>(i % 4), true));
     ASSERT_GE(p.reuseDistance(), 3u);
-    EXPECT_EQ(p.findVictim(miss, blocks),
+    EXPECT_EQ(p.findVictim(miss, line_addrs),
               cache::ReplacementPolicy::kBypass);
 }
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -120,6 +121,118 @@ TEST(Rng, ChanceApproximatesProbability)
     for (int i = 0; i < n; ++i)
         hits += rng.chance(0.25);
     EXPECT_NEAR(static_cast<double>(hits) / n, 0.25, 0.02);
+}
+
+namespace
+{
+
+/**
+ * Probabilities at and around every edge of chance(): the no-draw
+ * ends, NaN, subnormals, the draw grid's own points (k * 2^-53)
+ * and the doubles between them, the last double below 1, and the
+ * constants the synthetic generator flips.
+ */
+std::vector<double>
+edgeProbabilities()
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    std::vector<double> ps = {
+        0.0, -0.0, 1.0, -0.5, 1.5, -inf, inf,
+        std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::min(),
+        0x1.0p-53, 0x3.0p-54, 0x1.0p-60,
+        std::nextafter(1.0, 0.0), std::nextafter(0.5, 0.0), 0.5,
+        std::nextafter(0.5, 1.0), 0.25, 0.4, 0.97, 0.02, 0.3,
+        1.0 / 3.0, 0.78, 0.35 + 0.15};
+    Rng pick(99);
+    for (int i = 0; i < 40; ++i)
+        ps.push_back(pick.nextDouble());
+    return ps;
+}
+
+} // namespace
+
+TEST(Rng, OddsDecideAsChanceOnTwinGenerators)
+{
+    // chance(Odds(p)) must make the same decision from the same
+    // draws as chance(p), so that two generators fed the two forms
+    // stay in lockstep: same answers, same end state.
+    for (const double p : edgeProbabilities()) {
+        Rng a(17);
+        Rng b(17);
+        const Rng::Odds odds(p);
+        int trues = 0;
+        for (int i = 0; i < 20000; ++i) {
+            const bool expect = a.chance(p);
+            ASSERT_EQ(b.chance(odds), expect) << p << " at " << i;
+            trues += expect;
+        }
+        EXPECT_EQ(a.next(), b.next()) << p;
+        if (p >= 1.0) {
+            EXPECT_EQ(trues, 20000);
+        } else if (!(p > 0.0)) {
+            EXPECT_EQ(trues, 0);
+        }
+    }
+}
+
+TEST(Rng, DrawThresholdsAreExactAtTheirBoundaries)
+{
+    // x * 2^-53 < p  <=>  x < drawsBelow(p), and
+    // x * 2^-53 > c  <=>  x >= firstDrawAbove(c), checked on the
+    // draws just around each threshold and on random draws.
+    const auto unit = [](uint64_t x) {
+        return static_cast<double>(x) * 0x1.0p-53;
+    };
+    Rng rng(5);
+    for (const double p : edgeProbabilities()) {
+        const uint64_t below = Rng::drawsBelow(p);
+        const uint64_t above = Rng::firstDrawAbove(p);
+        ASSERT_LE(below, Rng::kDraws) << p;
+        ASSERT_LE(above, Rng::kDraws) << p;
+        std::vector<uint64_t> xs = {0, 1, Rng::kDraws - 1};
+        for (const uint64_t t : {below, above}) {
+            for (uint64_t d = 0; d < 3; ++d) {
+                if (t + d >= 1 && t + d - 1 < Rng::kDraws)
+                    xs.push_back(t + d - 1);
+            }
+        }
+        for (int i = 0; i < 1000; ++i)
+            xs.push_back(rng.nextBits53());
+        for (const uint64_t x : xs) {
+            ASSERT_EQ(unit(x) < p, x < below) << p << " x=" << x;
+            ASSERT_EQ(unit(x) > p, x >= above) << p << " x=" << x;
+        }
+    }
+    // nextDouble() is exactly nextBits53() scaled.
+    Rng a(8);
+    Rng b(8);
+    for (int i = 0; i < 1000; ++i)
+        ASSERT_EQ(a.nextDouble(), unit(b.nextBits53()));
+}
+
+TEST(Rng, PowerOfTwoBoundsDrawAsRejectionSampling)
+{
+    // nextBounded's mask path for powers of two gives what the
+    // general rejection sampler gives, draw for draw.
+    const auto reference = [](Rng &rng, uint64_t bound) {
+        const uint64_t threshold = -bound % bound;
+        for (;;) {
+            const uint64_t r = rng.next();
+            if (r >= threshold)
+                return r % bound;
+        }
+    };
+    for (const uint64_t bound :
+         {1ULL, 2ULL, 4ULL, 8ULL, 256ULL, 1ULL << 40, 1ULL << 63, 3ULL,
+          62ULL, 1000ULL, (1ULL << 63) + 1}) {
+        Rng a(21);
+        Rng b(21);
+        for (int i = 0; i < 2000; ++i)
+            ASSERT_EQ(a.nextBounded(bound), reference(b, bound)) << bound;
+        EXPECT_EQ(a.next(), b.next()) << bound;
+    }
 }
 
 TEST(Rng, ShuffleIsPermutation)

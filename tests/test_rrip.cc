@@ -45,10 +45,10 @@ TEST(Srrip, VictimIsDistant)
     // Promote way 1.
     p.onAccess(ctxAt(0, 1, true));
 
-    std::vector<cache::BlockView> blocks(4);
+    std::vector<uint64_t> line_addrs(4);
     cache::AccessContext miss;
     miss.set = 0;
-    const uint32_t victim = p.findVictim(miss, blocks);
+    const uint32_t victim = p.findVictim(miss, line_addrs);
     EXPECT_NE(victim, 1u); // the promoted line survives aging
     // Aging must have pushed someone to max RRPV.
     EXPECT_EQ(p.rrpv(0, victim), 3);
@@ -61,10 +61,10 @@ TEST(Srrip, AgingPreservesOrder)
     for (uint32_t w = 0; w < 4; ++w)
         p.onAccess(ctxAt(0, w, false));
     p.onAccess(ctxAt(0, 0, true)); // rrpv 0
-    std::vector<cache::BlockView> blocks(4);
+    std::vector<uint64_t> line_addrs(4);
     cache::AccessContext miss;
     miss.set = 0;
-    p.findVictim(miss, blocks);
+    p.findVictim(miss, line_addrs);
     // After aging to find a victim, way 0 is still the youngest.
     EXPECT_LT(p.rrpv(0, 0), p.rrpv(0, 2));
 }

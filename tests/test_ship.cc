@@ -70,11 +70,11 @@ TEST(Ship, DeadPcInsertedDistant)
     p.onAccess(ctxFor(0, 1, false, 0x9999));
     p.onAccess(ctxFor(0, 3, false, 0x9999));
     p.onAccess(ctxFor(0, 2, false, dead_pc));
-    std::vector<cache::BlockView> blocks(4);
+    std::vector<uint64_t> line_addrs(4);
     cache::AccessContext miss;
     miss.set = 0;
     miss.pc = 0x8888;
-    EXPECT_EQ(p.findVictim(miss, blocks), 2u);
+    EXPECT_EQ(p.findVictim(miss, line_addrs), 2u);
 }
 
 TEST(Ship, WritebackDoesNotTrain)
@@ -124,11 +124,11 @@ TEST(ShipPP, SaturatedSignatureInsertsMru)
     // NOT be chosen over an untrained line.
     p.onAccess(ctxFor(0, 1, false, pc));
     p.onAccess(ctxFor(0, 2, false, 0x7777));
-    std::vector<cache::BlockView> blocks(4);
+    std::vector<uint64_t> line_addrs(4);
     cache::AccessContext miss;
     miss.set = 0;
     miss.pc = 0x6666;
-    EXPECT_NE(p.findVictim(miss, blocks), 1u);
+    EXPECT_NE(p.findVictim(miss, line_addrs), 1u);
 }
 
 TEST(ShipPP, BeatsShipOnScanMix)

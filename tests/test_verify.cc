@@ -342,7 +342,7 @@ class TrippingPolicy : public cache::ReplacementPolicy
 
     uint32_t
     findVictim(const cache::AccessContext &,
-               std::span<const cache::BlockView>) override
+               std::span<const uint64_t>) override
     {
         return 0;
     }
