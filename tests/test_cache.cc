@@ -620,6 +620,61 @@ TEST(Cache, OverlappingMissesWithTiedCompletionsPinTiming)
     EXPECT_EQ(exported(c3, "mshr_stalls"), 2u);
 }
 
+TEST(Cache, MshrTimingWithBackwardNowAndFlushIsPinned)
+{
+    // Dependent loads reach a cache with `now` earlier than the
+    // previous access's, so completions enter the MSHR table out
+    // of order and misses must still free and stall against the
+    // right entries. Three MSHRs, lookup 10 cycles, memory 100;
+    // every line in its own set. The comments list the in-flight
+    // completions after each access.
+    FakeMemory mem(100);
+    CacheGeometry g = smallGeometry();
+    g.size_bytes = 64 * 1024;
+    g.mshrs = 3;
+    Cache c(g, std::make_unique<policies::LruPolicy>(), &mem);
+    struct Step
+    {
+        uint64_t line;
+        uint64_t now;
+        uint64_t ready;
+    };
+    const auto run = [&c](std::initializer_list<Step> steps) {
+        for (const Step &s : steps) {
+            EXPECT_EQ(c.access(load(s.line * kLineBytes), s.now), s.ready)
+                << "line " << s.line << " at " << s.now;
+        }
+    };
+    run({
+        {1, 1000, 1110}, // 1110
+        {2, 500, 610},   // 1110 610
+        {3, 200, 310},   // 1110 610 310
+        {4, 100, 410},   // all busy: waits for 310; 1110 610 410
+        {5, 450, 560},   // 410 has freed: 1110 610 560
+        {6, 0, 660},     // all busy: waits for 560; 1110 610 660
+        {1, 2000, 2010}, // hit
+        {2, 300, 610},   // merges into the 610 miss
+        {7, 620, 730},   // 610 has freed: 1110 660 730
+    });
+    EXPECT_EQ(exported(c, "mshr_stalls"), 2u);
+    EXPECT_EQ(exported(c, "mshr_merges"), 1u);
+
+    // A flush drains every MSHR, however late its completion.
+    c.flush();
+    run({
+        {8, 5, 115},   // 115
+        {9, 3, 113},   // 115 113
+        {10, 1, 111},  // 115 113 111
+        {11, 0, 211},  // waits for 111: 115 113 211
+        {12, 0, 213},  // waits for 113: 115 211 213
+        {13, 114, 224}, // 115 has freed: 211 213 224
+        {14, 50, 311},  // waits for 211: 213 224 311
+        {1, 60, 313},   // flushed, so a miss: waits for 213
+    });
+    EXPECT_EQ(exported(c, "mshr_stalls"), 4u);
+    EXPECT_EQ(exported(c, "LD_miss"), 8u);
+}
+
 TEST(Cache, PrecomputedIndexingMatchesGeometry)
 {
     // The mask and shift each cache derives once must agree with

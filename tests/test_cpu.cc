@@ -9,6 +9,9 @@
 #include "cpu/core.hh"
 #include "trace/synthetic.hh"
 #include "trace/workloads.hh"
+#include "util/bits.hh"
+#include "util/rng.hh"
+#include "util/sat_counter.hh"
 
 using namespace rlr;
 using namespace rlr::cpu;
@@ -100,6 +103,47 @@ TEST(Gshare, TracksStats)
     GsharePredictor bp;
     bp.predictAndUpdate(0x1, true);
     EXPECT_EQ(bp.lookups(), 1u);
+}
+
+TEST(Gshare, PredictsAsTwoBitSatCounterTable)
+{
+    // The predictor is a table of 2-bit counters starting weakly
+    // not-taken, indexed by (pc >> 2) ^ history. A reference table
+    // of SatCounter(2, 1) must give the same prediction for every
+    // branch of a long random stream, at two table shapes.
+    for (const BranchPredictorConfig cfg :
+         {BranchPredictorConfig{}, BranchPredictorConfig{6, 9}}) {
+        GsharePredictor bp(cfg);
+        std::vector<util::SatCounter> ref(1ULL << cfg.index_bits,
+                                          util::SatCounter(2, 1));
+        uint64_t history = 0;
+        uint64_t wrong = 0;
+        util::Rng rng(5);
+        for (int i = 0; i < 1000000; ++i) {
+            // 64 branch sites, each biased one way so counters
+            // both saturate and flip.
+            const uint64_t site = rng.nextBounded(64);
+            const uint64_t pc = 0x400000 + 4 * site * 37;
+            const bool taken = rng.chance(site % 3 == 0   ? 0.9
+                                          : site % 3 == 1 ? 0.2
+                                                          : 0.5);
+            const size_t k =
+                ((pc >> 2) ^ (history & util::mask(cfg.history_bits))) &
+                util::mask(cfg.index_bits);
+            const bool predicted = ref[k].value() >= 2;
+            ASSERT_EQ(bp.predict(pc), predicted) << "branch " << i;
+            ASSERT_EQ(bp.predictAndUpdate(pc, taken), predicted == taken)
+                << "branch " << i;
+            wrong += predicted != taken;
+            if (taken)
+                ++ref[k];
+            else
+                --ref[k];
+            history = (history << 1) | (taken ? 1 : 0);
+        }
+        EXPECT_EQ(bp.lookups(), 1000000u);
+        EXPECT_EQ(bp.mispredicts(), wrong);
+    }
 }
 
 TEST(O3Core, WidthBoundsIpc)
