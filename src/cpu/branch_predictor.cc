@@ -8,8 +8,7 @@ namespace rlr::cpu
 GsharePredictor::GsharePredictor(BranchPredictorConfig config)
     : config_(config)
 {
-    table_.assign(1ULL << config_.index_bits,
-                  util::SatCounter(2, 1)); // weakly not-taken
+    table_.assign(1ULL << config_.index_bits, 1); // weakly not-taken
 }
 
 size_t
@@ -24,17 +23,16 @@ GsharePredictor::index(uint64_t pc) const
 bool
 GsharePredictor::predict(uint64_t pc) const
 {
-    const auto &ctr = table_[index(pc)];
-    return ctr.value() >= (ctr.maxValue() + 1) / 2;
+    return table_[index(pc)] >= (kCounterMax + 1) / 2;
 }
 
 void
 GsharePredictor::update(uint64_t pc, bool taken)
 {
-    auto &ctr = table_[index(pc)];
-    if (taken)
+    uint8_t &ctr = table_[index(pc)];
+    if (taken && ctr < kCounterMax)
         ++ctr;
-    else
+    else if (!taken && ctr > 0)
         --ctr;
     history_ = (history_ << 1) | (taken ? 1 : 0);
 }

@@ -197,7 +197,7 @@ FeatureExtractor::groupIndices(FeatureGroup group) const
 std::vector<float>
 FeatureExtractor::extract(const AccessFeatures &access,
                           const SetFeatures &set,
-                          const std::vector<LineFeatures> &lines) const
+                          std::span<const LineFeatures> lines) const
 {
     util::ensure(lines.size() == ways_,
                  "FeatureExtractor: way count mismatch");

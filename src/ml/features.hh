@@ -22,6 +22,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -124,7 +125,7 @@ class FeatureExtractor
     /** Build the state vector. @p lines has one entry per way. */
     std::vector<float>
     extract(const AccessFeatures &access, const SetFeatures &set,
-            const std::vector<LineFeatures> &lines) const;
+            std::span<const LineFeatures> lines) const;
 
   private:
     static float normCount(uint32_t v, uint32_t cap);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "cache/geometry.hh"
 #include "stats/stats.hh"
@@ -403,11 +404,8 @@ OfflineSimulator::replayAgent(DqnAgent &agent, bool train)
             af.preuse = access_preuse;
             af.type = access.type;
             af.set = set;
-            std::vector<LineFeatures> set_lines(
-                lines_.begin() + static_cast<long>(base),
-                lines_.begin() + static_cast<long>(base + ways_));
-            auto state =
-                extractor_.extract(af, sf, set_lines);
+            auto state = extractor_.extract(
+                af, sf, std::span(lines_).subspan(base, ways_));
             victim = agent.act(state) % ways_;
             if (train) {
                 const float r =

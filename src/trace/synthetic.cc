@@ -148,13 +148,10 @@ SyntheticGenerator::SyntheticGenerator(WorkloadProfile profile,
             ks.lines = n;
             ks.perm.resize(n);
             std::iota(ks.perm.begin(), ks.perm.end(), 0u);
-            // Sattolo's algorithm: a single cycle through all lines,
-            // so the chase touches the whole working set.
+            // A single cycle through all lines, so the chase
+            // touches the whole working set.
             util::Rng perm_rng(seed ^ (0xabcd1234u + i));
-            for (uint64_t k = n - 1; k > 0; --k) {
-                const uint64_t j = perm_rng.nextBounded(k);
-                std::swap(ks.perm[k], ks.perm[j]);
-            }
+            perm_rng.cyclicShuffle(ks.perm);
             break;
           }
           case KernelKind::HotCold:
@@ -246,8 +243,11 @@ SyntheticGenerator::nextMemAddress(KernelState &ks, bool &is_store,
         // neighbours are not address neighbours, so a next-line
         // prefetch lands on dead padding (low prefetch accuracy,
         // as for real graph codes). pos is always a permutation
-        // entry, so it indexes perm directly.
+        // entry, so it indexes perm directly. The next step of this
+        // kernel, many instructions later, reads perm[pos]: fetch
+        // it now rather than wait on it then.
         ks.pos = ks.perm[ks.pos];
+        __builtin_prefetch(&ks.perm[ks.pos]);
         line = 2 * ks.pos;
         dependent = true;
         break;
