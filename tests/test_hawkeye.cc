@@ -2,11 +2,147 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "policies/hawkeye.hh"
 #include "tests/policy_test_util.hh"
+#include "util/bits.hh"
+#include "util/rng.hh"
+#include "util/sat_counter.hh"
 
 using namespace rlr;
 using namespace rlr::policies;
+
+TEST(Hawkeye, PredictorTrainsAsSatCounterTable)
+{
+    // One sampled 16-way set and at most 16 distinct lines, so
+    // OPTgen's occupancy never fills and its decision for a reuse
+    // is "hit" exactly when the reuse falls inside the history
+    // window. The predictor is a table of counter_bits-wide
+    // saturating counters starting at the friendly threshold. A
+    // reference SatCounter table, driven by that rule, by the
+    // detraining of findVictim and by Hawkeye's RRPV update, must
+    // agree on every victim and on every friendly/averse reading
+    // over 1M random accesses, victim queries and predictions, at
+    // the default shape and at a 6-bit/4-bit one.
+    HawkeyeConfig small;
+    small.predictor_bits = 6;
+    small.counter_bits = 4;
+    for (const HawkeyeConfig cfg : {HawkeyeConfig{}, small}) {
+        HawkeyePolicy p(cfg);
+        cache::CacheGeometry g;
+        g.ways = 16;
+        g.size_bytes = g.ways * 64; // one set
+        p.bind(g);
+        const uint64_t window = cfg.history_factor * g.ways;
+        const uint8_t max_rrpv = (1u << cfg.rrpv_bits) - 1;
+        const uint64_t threshold = 1ULL << (cfg.counter_bits - 1);
+        std::vector<util::SatCounter> ref(
+            1ULL << cfg.predictor_bits,
+            util::SatCounter(cfg.counter_bits, threshold));
+        const auto sig = [&](uint64_t pc) {
+            return util::foldXor(pc >> 2, cfg.predictor_bits);
+        };
+        const auto friendly = [&](uint64_t s) {
+            return ref[s].value() >= threshold;
+        };
+        // Line k lives in way k; every access is a load.
+        struct Line
+        {
+            bool seen = false;
+            uint64_t last = 0;
+            uint64_t last_sig = 0;
+            uint8_t rrpv = 0;
+            uint64_t pc_sig = 0;
+        };
+        std::vector<Line> lines(g.ways);
+        for (auto &l : lines)
+            l.rrpv = max_rrpv;
+        const std::vector<uint64_t> no_addrs(g.ways, 0);
+        uint64_t now = 0;
+        // How often each path ran, so the stream provably covers
+        // both OPTgen outcomes, detraining and both readings.
+        uint64_t opt_hits = 0, opt_misses = 0, detrains = 0,
+                 averse = 0;
+        util::Rng rng(13);
+        for (int i = 0; i < 1000000; ++i) {
+            // 64 PC sites, 37 apart so they spread over the table.
+            const uint64_t pc =
+                0x400000 + 4 * rng.nextBounded(64) * 37;
+            cache::AccessContext ctx;
+            switch (rng.nextBounded(3)) {
+              case 0: { // access: lines 12-15 are rare, so about
+                        // half of their reuses leave the window
+                const auto way = static_cast<uint32_t>(
+                    rng.chance(0.97) ? rng.nextBounded(12)
+                                     : 12 + rng.nextBounded(4));
+                Line &l = lines[way];
+                ctx.way = way;
+                ctx.pc = pc;
+                ctx.full_addr = (way + 1) * 64;
+                ctx.hit = l.seen;
+                p.onAccess(ctx);
+                if (l.seen) {
+                    if (now - l.last < window) {
+                        ++ref[l.last_sig];
+                        ++opt_hits;
+                    } else {
+                        --ref[l.last_sig];
+                        ++opt_misses;
+                    }
+                }
+                l.seen = true;
+                l.last = now++;
+                l.last_sig = sig(pc);
+                l.pc_sig = sig(pc);
+                if (!friendly(l.pc_sig)) {
+                    l.rrpv = max_rrpv;
+                    break;
+                }
+                if (!ctx.hit) {
+                    for (uint32_t w = 0; w < g.ways; ++w)
+                        if (w != way && lines[w].rrpv < max_rrpv - 1)
+                            ++lines[w].rrpv;
+                }
+                l.rrpv = 0;
+                break;
+              }
+              case 1: { // victim query: an averse line, else the
+                        // oldest friendly one, which is detrained
+                uint32_t victim = g.ways;
+                for (uint32_t w = 0; w < g.ways && victim == g.ways;
+                     ++w)
+                    if (lines[w].rrpv == max_rrpv)
+                        victim = w;
+                if (victim == g.ways) {
+                    uint8_t oldest = 0;
+                    for (uint32_t w = 0; w < g.ways; ++w) {
+                        if (lines[w].rrpv >= oldest) {
+                            oldest = lines[w].rrpv;
+                            victim = w;
+                        }
+                    }
+                    --ref[lines[victim].pc_sig];
+                    ++detrains;
+                }
+                ASSERT_EQ(p.findVictim(ctx, no_addrs), victim)
+                    << "op " << i;
+                break;
+              }
+              default:
+                break;
+            }
+            ASSERT_EQ(p.predictsFriendly(pc), friendly(sig(pc)))
+                << "op " << i;
+            averse += !friendly(sig(pc));
+        }
+        EXPECT_GT(opt_hits, 10000u);
+        EXPECT_GT(opt_misses, 1000u);
+        EXPECT_GT(detrains, 1000u);
+        EXPECT_GT(averse, 10000u);
+        EXPECT_LT(averse, 990000u);
+    }
+}
 
 TEST(Hawkeye, ColdPredictorIsFriendly)
 {

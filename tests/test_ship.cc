@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "policies/ship.hh"
 #include "tests/policy_test_util.hh"
+#include "util/bits.hh"
+#include "util/rng.hh"
+#include "util/sat_counter.hh"
 
 using namespace rlr;
 using namespace rlr::policies;
@@ -108,6 +113,81 @@ TEST(Ship, OverheadMatchesPaper)
     ShipPPPolicy pp;
     pp.bind(g);
     EXPECT_NEAR(pp.overhead().totalKiB(g), 20.0, 0.01);
+}
+
+TEST(Ship, ShctTrainsAsSatCounterTable)
+{
+    // The SHCT is a table of shct_bits-wide saturating counters
+    // starting at 1, indexed by the folded PC. Fills evict (and
+    // detrain a line never re-referenced), first hits train up.
+    // A reference table of SatCounter(shct_bits, 1) must read the
+    // same after each of 1M random fills, hits and queries, at the
+    // default shape and at an 8-bit/5-bit one.
+    for (const ShipConfig cfg : {ShipConfig{}, ShipConfig{2, 8, 5}}) {
+        ShipPolicy p(cfg);
+        const cache::CacheGeometry g = test::tinyGeometry();
+        p.bind(g);
+        std::vector<util::SatCounter> ref(
+            1ULL << cfg.signature_bits,
+            util::SatCounter(cfg.shct_bits, 1));
+        const auto sig = [&](uint64_t pc) {
+            return util::foldXor(pc >> 2, cfg.signature_bits);
+        };
+        struct Line
+        {
+            bool filled = false;
+            bool outcome = false;
+            uint64_t site = 0;
+        };
+        std::vector<Line> lines(g.numLines());
+        // Readings at each end, so the stream provably saturates
+        // counters both ways.
+        uint64_t at_zero = 0, at_max = 0;
+        util::Rng rng(11);
+        for (int i = 0; i < 1000000; ++i) {
+            const auto set = static_cast<uint32_t>(
+                rng.nextBounded(g.numSets()));
+            const auto way =
+                static_cast<uint32_t>(rng.nextBounded(g.ways));
+            Line &l = lines[set * g.ways + way];
+            // 64 PC sites, 37 apart so they spread over the table.
+            const uint64_t site = rng.nextBounded(64);
+            const uint64_t pc = 0x400000 + 4 * site * 37;
+            // Twice as many hit tries as fills, so reuse can win.
+            switch (rng.nextBounded(4)) {
+              case 0: // evict and fill
+                if (l.filled) {
+                    p.onEviction(set, way, {true, false, false, 0});
+                    if (!l.outcome)
+                        --ref[sig(0x400000 + 4 * l.site * 37)];
+                }
+                p.onAccess(ctxFor(set, way, false, pc));
+                l = Line{true, false, site};
+                break;
+              case 1:
+              case 2: { // hit, likelier for some sites than others
+                const double reuse = l.site % 3 == 0   ? 0.9
+                                     : l.site % 3 == 1 ? 0.1
+                                                       : 0.5;
+                if (!l.filled || !rng.chance(reuse))
+                    break;
+                p.onAccess(ctxFor(set, way, true, pc));
+                if (!l.outcome)
+                    ++ref[sig(0x400000 + 4 * l.site * 37)];
+                l.outcome = true;
+                break;
+              }
+              default:
+                break;
+            }
+            ASSERT_EQ(p.shctValue(pc), ref[sig(pc)].value())
+                << "op " << i;
+            at_zero += ref[sig(pc)].value() == 0;
+            at_max += ref[sig(pc)].saturated();
+        }
+        EXPECT_GT(at_zero, 10000u);
+        EXPECT_GT(at_max, 10000u);
+    }
 }
 
 TEST(ShipPP, SaturatedSignatureInsertsMru)
