@@ -105,22 +105,17 @@ makeParser(const std::string &description)
                      "Perfetto) to this path");
     parser.addOption("journal", "",
                      "Durable sweep journal directory: completed "
-                     "cells are recorded with atomic writes and "
-                     "skipped when the run is restarted "
-                     "(docs/ROBUSTNESS.md)");
+                     "cells are recorded with atomic writes; a "
+                     "restarted run skips the ok ones and re-runs "
+                     "failed ones (docs/ROBUSTNESS.md)");
     parser.addOption("cell-timeout", "0",
-                     "Watchdog deadline per sweep-cell attempt in "
+                     "Watchdog deadline per sweep cell in "
                      "seconds; a cell exceeding it is cancelled "
                      "with a 'timeout' error (0 = off)");
-    parser.addOption("cell-retries", "0",
-                     "Re-run a cell up to N times after retryable "
-                     "failures (timeouts, transient faults) with "
-                     "decorrelated-jitter backoff");
     parser.addOption("faults", "",
                      "Fault-injection plan: comma list of "
-                     "kind[:N]@<index|workload:policy> or "
-                     "kind%rate; kinds: throw, transient, hang, "
-                     "abort, corrupt-journal");
+                     "kind@<index|workload:policy> or kind%rate; "
+                     "kinds: throw, hang, abort, corrupt-journal");
     parser.addOption("heartbeat", "",
                      "Write a machine-readable sweep heartbeat "
                      "file (atomically replaced every period; "
@@ -134,8 +129,8 @@ makeParser(const std::string &description)
                    "fields)");
     parser.addFlag("stable-json",
                    "Zero wall-clock telemetry (runtime_s, mips, "
-                   "retry_wait_s) in JSON exports so same-seed "
-                   "runs are byte-identical");
+                   "resources) in JSON exports so same-seed runs "
+                   "are byte-identical");
     parser.addFlag("csv", "Emit CSV instead of aligned tables");
     parser.addFlag("progress",
                    "Live sweep progress line (done/total, ETA) on "
@@ -174,8 +169,6 @@ makeOptions(const util::ArgParser &parser)
         parser.getDouble("heartbeat-period");
     opt.params.record_resources = parser.getFlag("resources");
     opt.sweep.cell_timeout_s = parser.getDouble("cell-timeout");
-    opt.sweep.cell_retries =
-        static_cast<uint32_t>(parser.getUint("cell-retries"));
     // Bench sweeps always drain gracefully on SIGINT/SIGTERM
     // (finish in-flight cells' cancellation, flush journal and
     // partial exports, exit nonzero).
@@ -306,7 +299,7 @@ finish(const BenchOptions &opt)
             sim::SweepRunner::chromeTraceJson(cells));
     }
     const sim::SweepStats &r = detail::sweepStats();
-    if (r.retries + r.timeouts + r.resumed_cells + r.cancelled_cells +
+    if (r.timeouts + r.resumed_cells + r.cancelled_cells +
             r.reaped_markers >
         0) {
         std::puts("\n=== Sweep robustness ===");
@@ -317,7 +310,6 @@ finish(const BenchOptions &opt)
             {"failed_cells", r.failed_cells},
             {"reaped_markers", r.reaped_markers},
             {"resumed_cells", r.resumed_cells},
-            {"retries", r.retries},
             {"timeouts", r.timeouts}};
         for (const auto &[name, value] : lines)
             std::fputs(util::format("sweep.{} {}\n", name, value).c_str(),

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <unordered_set>
 
 #include "core/rlr.hh"
 #include "ml/analysis.hh"
@@ -41,10 +42,11 @@ main(int argc, char **argv)
     std::printf("[1/4] capturing LLC trace of %s...\n",
                 workload.c_str());
     const auto trace = sim::captureLlcTrace(workload, params);
-    std::printf("      %zu accesses, %llu distinct lines\n",
-                trace.size(),
-                static_cast<unsigned long long>(
-                    trace.distinctLines()));
+    std::unordered_set<uint64_t> lines;
+    for (const auto &a : trace)
+        lines.insert(a.address >> 6);
+    std::printf("      %zu accesses, %zu distinct lines\n",
+                trace.size(), lines.size());
 
     ml::OfflineSimulator sim(ml::OfflineConfig{}, &trace);
 

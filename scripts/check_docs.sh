@@ -131,7 +131,7 @@ done
 # authoritative list is faultKindName() in fault_plan.cc), the
 # sweep.* counters, and the crash-resume harness must all appear
 # in docs/ROBUSTNESS.md.
-for f in journal cell-timeout cell-retries faults; do
+for f in journal cell-timeout faults; do
     grep -q -- "--$f" docs/ROBUSTNESS.md ||
         err "robustness flag '--$f' is not documented in" \
             "docs/ROBUSTNESS.md"
@@ -147,7 +147,7 @@ for k in $fault_kinds; do
         err "fault kind '$k' is not documented in" \
             "docs/ROBUSTNESS.md"
 done
-for c in completed_cells resumed_cells retries timeouts \
+for c in completed_cells resumed_cells timeouts \
          failed_cells cancelled_cells reaped_markers; do
     grep -q "sweep.$c" docs/ROBUSTNESS.md ||
         err "counter 'sweep.$c' is not documented in" \

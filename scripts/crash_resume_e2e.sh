@@ -16,10 +16,12 @@
 #                  BYTE-IDENTICAL to the reference run's
 #   4. watchdog  : an injected `hang` is reaped by --cell-timeout
 #                  while every other cell completes (exit 1, the
-#                  timeout appears in the failed-cell table)
-#   5. retry     : an injected transient fault succeeds on the
-#                  second attempt under --cell-retries (exit 0,
-#                  sweep.retries counted)
+#                  timeout appears in the failed-cell table and is
+#                  journaled as a failed record)
+#   5. re-run    : the same journaled command without the fault —
+#                  the failed record re-runs, the ok ones resume
+#                  (exit 0), and the export must be BYTE-IDENTICAL
+#                  to the reference run's
 #
 # Usage: scripts/crash_resume_e2e.sh [--fig12-bin=PATH]
 #            [--inspect-bin=PATH]
@@ -119,7 +121,8 @@ grep -q "4 records: 4 ok, 0 failed, 0 unreadable" \
 echo "crash_resume_e2e: [4/5] watchdog reaps a hung cell" >&2
 rc=0
 "$fig12_bin" $common --threads 2 --faults hang@0 \
-    --cell-timeout 2 >"$tmp/hang.out" 2>&1 || rc=$?
+    --cell-timeout 2 --journal "$tmp/hang-journal" \
+    >"$tmp/hang.out" 2>&1 || rc=$?
 if [ "$rc" -ne 1 ]; then
     echo "crash_resume_e2e: expected exit 1 from the timed-out" \
          "sweep, got $rc" >&2
@@ -139,14 +142,21 @@ grep -q "sweep.timeouts 1" "$tmp/hang.out" || {
     exit 1
 }
 
-echo "crash_resume_e2e: [5/5] transient fault retried" >&2
-"$fig12_bin" $common --threads 2 --faults transient:1@0 \
-    --cell-retries 2 >"$tmp/retry.out"
-grep -q "sweep.retries 1" "$tmp/retry.out" || {
-    echo "crash_resume_e2e: sweep.retries counter missing" >&2
-    cat "$tmp/retry.out" >&2
+echo "crash_resume_e2e: [5/5] resume re-runs the timed-out cell" >&2
+"$fig12_bin" $common --threads 2 --cell-timeout 2 \
+    --journal "$tmp/hang-journal" --json "$tmp/rerun.json" \
+    >"$tmp/rerun.out"
+grep -q "sweep.resumed_cells 3" "$tmp/rerun.out" || {
+    echo "crash_resume_e2e: re-run did not resume the 3 ok cells" >&2
+    cat "$tmp/rerun.out" >&2
     exit 1
 }
+if ! cmp -s "$tmp/ref.json" "$tmp/rerun.json"; then
+    echo "crash_resume_e2e: re-run export differs from the" \
+         "uninterrupted run's:" >&2
+    diff -u "$tmp/ref.json" "$tmp/rerun.json" >&2 || true
+    exit 1
+fi
 
 echo "crash_resume_e2e: OK (kill -9 at cell 2, resumed export" \
-     "byte-identical; hung cell reaped; transient retried)"
+     "byte-identical; hung cell reaped, then re-run on resume)"

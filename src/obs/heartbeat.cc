@@ -47,9 +47,8 @@ heartbeatToJson(const Heartbeat &hb)
         out += i == 0 ? "\n" : ",\n";
         out += util::format(
             "    {{\"worker\": {}, \"cell\": \"{}\", "
-            "\"attempt\": {}, \"age_s\": {:.3f}}}",
-            w.worker, stats::json::escape(w.cell), w.attempt,
-            w.age_s);
+            "\"age_s\": {:.3f}}}",
+            w.worker, stats::json::escape(w.cell), w.age_s);
     }
     if (!hb.workers.empty())
         out += "\n  ";
@@ -104,8 +103,6 @@ heartbeatFromJson(const std::string &text)
             w.worker = static_cast<uint32_t>(
                 wv.numberOr("worker", 0));
             w.cell = wv.stringOr("cell", "");
-            w.attempt = static_cast<uint32_t>(
-                wv.numberOr("attempt", 0));
             w.age_s = wv.numberOr("age_s", 0);
             hb.workers.push_back(std::move(w));
         }
@@ -119,7 +116,6 @@ struct HeartbeatWriter::Impl
     {
         uint32_t index = 0;
         std::string cell;
-        uint32_t attempt = 0;
         std::chrono::steady_clock::time_point since{};
     };
 
@@ -165,7 +161,6 @@ struct HeartbeatWriter::Impl
             HeartbeatWorker w;
             w.worker = slot.index;
             w.cell = slot.cell;
-            w.attempt = slot.attempt;
             w.age_s = std::chrono::duration<double>(
                           now - slot.since)
                           .count();
@@ -237,8 +232,7 @@ HeartbeatWriter::~HeartbeatWriter()
 }
 
 void
-HeartbeatWriter::cellStarted(const std::string &cell,
-                             uint32_t attempt)
+HeartbeatWriter::cellStarted(const std::string &cell)
 {
     std::scoped_lock lock(impl_->mutex);
     auto [it, inserted] = impl_->workers.try_emplace(
@@ -248,7 +242,6 @@ HeartbeatWriter::cellStarted(const std::string &cell,
             impl_->workers.size() - 1);
     }
     it->second.cell = cell;
-    it->second.attempt = attempt;
     it->second.since = std::chrono::steady_clock::now();
 }
 

@@ -29,7 +29,6 @@ struct HeartbeatWorker
     uint32_t worker = 0;
     /** "<workload>:<policy>" currently running; "" when idle. */
     std::string cell;
-    uint32_t attempt = 0;
     /** Seconds the current cell has been running. */
     double age_s = 0.0;
 };
@@ -84,7 +83,7 @@ class HeartbeatWriter
     HeartbeatWriter &operator=(const HeartbeatWriter &) = delete;
 
     /** The calling worker thread begins @p cell ("w:p"). */
-    void cellStarted(const std::string &cell, uint32_t attempt);
+    void cellStarted(const std::string &cell);
     /** The calling worker thread finished its current cell. */
     void cellFinished(bool ok);
 

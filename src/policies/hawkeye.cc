@@ -4,6 +4,7 @@
 
 #include "util/bits.hh"
 #include "util/logging.hh"
+#include "util/sat_counter.hh"
 
 namespace rlr::policies
 {
@@ -46,10 +47,12 @@ HawkeyePolicy::bind(const cache::CacheGeometry &geom)
 
     // Counters start at the friendly threshold so a cold predictor
     // behaves like LRU rather than bypassing everything.
-    const uint64_t threshold = 1ULL << (config_.counter_bits - 1);
+    predictor_max_ =
+        static_cast<uint8_t>(util::mask(config_.counter_bits));
+    friendly_threshold_ =
+        static_cast<uint8_t>(1u << (config_.counter_bits - 1));
     predictor_.assign(1ULL << config_.predictor_bits,
-                      util::SatCounter(config_.counter_bits,
-                                       threshold));
+                      friendly_threshold_);
 }
 
 HawkeyePolicy::LineState &
@@ -79,8 +82,7 @@ HawkeyePolicy::sampler(uint32_t set)
 bool
 HawkeyePolicy::predictsFriendly(uint64_t pc) const
 {
-    const auto &ctr = predictor_[pcSignature(pc)];
-    return ctr.value() >= (ctr.maxValue() + 1) / 2;
+    return predictor_[pcSignature(pc)] >= friendly_threshold_;
 }
 
 void
@@ -92,29 +94,21 @@ HawkeyePolicy::trainOnSample(SamplerSet &samp, uint64_t line_addr,
     if (it != samp.entries.end()) {
         const uint64_t last = it->second.first;
         const uint32_t last_sig = it->second.second;
-        const uint64_t span = now - last;
-        if (span < history_len_) {
-            // OPTgen: the interval fits the history window. It is
-            // an OPT hit iff no quantum in [last, now) is at full
-            // occupancy.
-            bool opt_hit = true;
-            for (uint64_t t = last; t < now; ++t) {
-                if (samp.occupancy[t % history_len_] >= ways_) {
-                    opt_hit = false;
-                    break;
-                }
-            }
-            if (opt_hit) {
-                for (uint64_t t = last; t < now; ++t)
-                    ++samp.occupancy[t % history_len_];
-                ++predictor_[last_sig];
-            } else {
-                --predictor_[last_sig];
-            }
+        // OPTgen: the reuse is an OPT hit iff its interval fits
+        // the history window and no quantum in [last, now) is at
+        // full occupancy.
+        bool opt_hit = now - last < history_len_;
+        for (uint64_t t = last; opt_hit && t < now; ++t)
+            opt_hit = samp.occupancy[t % history_len_] < ways_;
+        if (opt_hit) {
+            for (uint64_t t = last; t < now; ++t)
+                ++samp.occupancy[t % history_len_];
+            util::satIncrement(predictor_[last_sig], predictor_max_);
         } else {
-            // Reuse distance beyond the window: OPT miss.
-            --predictor_[last_sig];
+            util::satDecrement(predictor_[last_sig]);
         }
+        if (optgen_observer_)
+            optgen_observer_(opt_hit);
         it->second = {now, pc_sig};
     } else {
         samp.entries.emplace(line_addr, std::make_pair(now, pc_sig));
@@ -157,7 +151,7 @@ HawkeyePolicy::findVictim(const cache::AccessContext &ctx,
             victim = w;
         }
     }
-    --predictor_[lines_[base + victim].pc_sig];
+    util::satDecrement(predictor_[lines_[base + victim].pc_sig]);
     return victim;
 }
 
@@ -191,9 +185,7 @@ HawkeyePolicy::onAccess(const cache::AccessContext &ctx)
                       sig);
     }
 
-    const auto &ctr = predictor_[sig];
-    const bool friendly =
-        ctr.value() >= (ctr.maxValue() + 1) / 2;
+    const bool friendly = predictor_[sig] >= friendly_threshold_;
     ls.pc_sig = sig;
     ls.friendly = friendly;
     if (!friendly) {

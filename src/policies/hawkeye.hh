@@ -11,11 +11,11 @@
 #ifndef RLR_POLICIES_HAWKEYE_HH
 #define RLR_POLICIES_HAWKEYE_HH
 
+#include <functional>
 #include <unordered_map>
 #include <vector>
 
 #include "cache/replacement.hh"
-#include "util/sat_counter.hh"
 
 namespace rlr::policies
 {
@@ -53,6 +53,16 @@ class HawkeyePolicy : public cache::ReplacementPolicy
     /** @return true when the predictor classifies pc as friendly. */
     bool predictsFriendly(uint64_t pc) const;
 
+    /** Test hook: sees each OPTgen decision, and changes nothing. */
+    using OptgenObserver = std::function<void(bool opt_hit)>;
+    /** Report every OPTgen decision (true = OPT hit) of a sampled
+     *  set's reuse to @p fn. */
+    void
+    setOptgenObserver(OptgenObserver fn)
+    {
+        optgen_observer_ = std::move(fn);
+    }
+
   private:
     struct LineState
     {
@@ -87,7 +97,12 @@ class HawkeyePolicy : public cache::ReplacementPolicy
     uint32_t history_len_ = 128;
     std::vector<LineState> lines_;
     std::vector<SamplerSet> samplers_;
-    std::vector<util::SatCounter> predictor_;
+    /** counter_bits-wide saturating counters, one byte each; a
+     *  PC is friendly from friendly_threshold_ up. */
+    std::vector<uint8_t> predictor_;
+    uint8_t predictor_max_ = 7;
+    uint8_t friendly_threshold_ = 4;
+    OptgenObserver optgen_observer_;
 };
 
 } // namespace rlr::policies

@@ -5,6 +5,7 @@
 #include "util/bits.hh"
 #include "util/format.hh"
 #include "util/logging.hh"
+#include "util/sat_counter.hh"
 
 namespace rlr::policies
 {
@@ -31,8 +32,8 @@ ShipPolicy::bind(const cache::CacheGeometry &geom)
                   LineState{});
     for (auto &ls : lines_)
         ls.rrpv = max_rrpv_;
-    shct_.assign(1ULL << config_.signature_bits,
-                 util::SatCounter(config_.shct_bits, 1));
+    shct_max_ = static_cast<uint8_t>(util::mask(config_.shct_bits));
+    shct_.assign(1ULL << config_.signature_bits, 1);
 }
 
 ShipPolicy::LineState &
@@ -85,7 +86,7 @@ ShipPolicy::insertionRrpv(const cache::AccessContext &ctx,
         return max_rrpv_;
     // Dead-on-arrival signatures go to distant; everything else to
     // long re-reference (RRPV 2 of 3), as in the SHiP paper.
-    if (shct_[sig].value() == 0)
+    if (shct_[sig] == 0)
         return max_rrpv_;
     return static_cast<uint8_t>(max_rrpv_ - 1);
 }
@@ -97,7 +98,7 @@ ShipPolicy::handleHit(const cache::AccessContext &ctx, LineState &ls)
     ls.rrpv = 0;
     if (!ls.outcome) {
         ls.outcome = true;
-        ++shct_[ls.signature];
+        util::satIncrement(shct_[ls.signature], shct_max_);
     }
 }
 
@@ -130,7 +131,7 @@ ShipPolicy::onEviction(uint32_t set, uint32_t way,
     LineState &ls = line(set, way);
     if (!ls.outcome) {
         // Dead line: its signature produced no re-reference.
-        --shct_[ls.signature];
+        util::satDecrement(shct_[ls.signature]);
     }
 }
 
@@ -155,11 +156,12 @@ ShipPolicy::verifyInvariants(
                 "{}-bit table",
                 ls.signature, set, w, config_.signature_bits));
         }
-        const auto &ctr = shct_[ls.signature];
-        if (ctr.value() > ctr.maxValue()) {
+        if (shct_[ls.signature] > shct_max_) {
             throw std::logic_error(util::format(
                 "SHiP: SHCT[{}] = {} exceeds the {}-bit maximum",
-                ls.signature, ctr.value(), config_.shct_bits));
+                ls.signature,
+                static_cast<unsigned>(shct_[ls.signature]),
+                config_.shct_bits));
         }
     }
 }
@@ -181,7 +183,7 @@ ShipPolicy::overhead() const
 uint64_t
 ShipPolicy::shctValue(uint64_t pc) const
 {
-    return shct_[signature(pc, trace::AccessType::Load)].value();
+    return shct_[signature(pc, trace::AccessType::Load)];
 }
 
 ShipPPPolicy::ShipPPPolicy(ShipConfig config) : ShipPolicy(config) {}
@@ -195,8 +197,8 @@ ShipPPPolicy::insertionRrpv(const cache::AccessContext &ctx,
     // (handled in signature()) and default to distant when cold.
     if (ctx.type == trace::AccessType::Writeback)
         return max_rrpv_;
-    const uint64_t ctr = shct_[sig].value();
-    if (ctr == shct_[sig].maxValue())
+    const uint8_t ctr = shct_[sig];
+    if (ctr == shct_max_)
         return 0;
     if (ctr == 0)
         return max_rrpv_;
@@ -224,7 +226,7 @@ ShipPPPolicy::handleHit(const cache::AccessContext &ctx,
     if (!ls.outcome) {
         // Train only on the first re-reference.
         ls.outcome = true;
-        ++shct_[ls.signature];
+        util::satIncrement(shct_[ls.signature], shct_max_);
     }
 }
 

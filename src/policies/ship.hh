@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "cache/replacement.hh"
-#include "util/sat_counter.hh"
 
 namespace rlr::policies
 {
@@ -80,7 +79,9 @@ class ShipPolicy : public cache::ReplacementPolicy
     uint32_t ways_ = 0;
     uint32_t num_sets_ = 0;
     std::vector<LineState> lines_;
-    std::vector<util::SatCounter> shct_;
+    /** SHCT: shct_bits-wide saturating counters, one byte each. */
+    std::vector<uint8_t> shct_;
+    uint8_t shct_max_ = 7;
 };
 
 /** SHiP++ refinements over SHiP. */

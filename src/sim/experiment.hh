@@ -140,12 +140,8 @@ struct SweepCell
     /** Non-empty when the cell failed; result is default-valued. */
     std::string error;
 
-    /** Attempts consumed (1 + retries actually taken). */
-    uint32_t attempts = 1;
-    /** Total backoff wall-clock slept between attempts. */
-    double retry_wait_s = 0.0;
-    /** The final attempt was reaped by the --cell-timeout
-     *  watchdog (error records "timeout ..."). */
+    /** The cell was reaped by the --cell-timeout watchdog (error
+     *  records "timeout ..."). */
     bool timed_out = false;
     /** Loaded from a sweep journal instead of re-run. */
     bool resumed = false;

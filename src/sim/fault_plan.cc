@@ -1,6 +1,7 @@
 #include "sim/fault_plan.hh"
 
 #include <cstdlib>
+#include <stdexcept>
 
 #include "util/format.hh"
 
@@ -27,8 +28,6 @@ parseKind(const std::string &word)
 {
     if (word == "throw")
         return FaultKind::Throw;
-    if (word == "transient")
-        return FaultKind::Transient;
     if (word == "hang")
         return FaultKind::Hang;
     if (word == "abort")
@@ -37,7 +36,7 @@ parseKind(const std::string &word)
         return FaultKind::CorruptJournal;
     throw std::runtime_error(util::format(
         "--faults: unknown fault kind '{}' (expected throw, "
-        "transient, hang, abort or corrupt-journal)",
+        "hang, abort or corrupt-journal)",
         word));
 }
 
@@ -51,8 +50,6 @@ faultKindName(FaultKind kind)
         return "none";
       case FaultKind::Throw:
         return "throw";
-      case FaultKind::Transient:
-        return "transient";
       case FaultKind::Hang:
         return "hang";
       case FaultKind::AbortProcess:
@@ -78,7 +75,7 @@ FaultPlan::parse(const std::string &spec)
             continue;
 
         Entry entry;
-        // Split `kind[:N]` from the selector at the FIRST '@' or
+        // Split the kind from the selector at the FIRST '@' or
         // '%' — labels ("429.mcf:RLR") may contain ':' but never
         // '@' or '%'.
         const size_t at = item.find('@');
@@ -97,21 +94,6 @@ FaultPlan::parse(const std::string &spec)
                 "--faults: entry '{}' has no selector (use "
                 "kind@index, kind@workload:policy, or kind%rate)",
                 item));
-        }
-
-        // Optional `:N` attempt count on the kind word.
-        const size_t colon = head.find(':');
-        if (colon != std::string::npos) {
-            const std::string count = head.substr(colon + 1);
-            char *end = nullptr;
-            const long n = std::strtol(count.c_str(), &end, 10);
-            if (end == nullptr || *end != '\0' || n <= 0) {
-                throw std::runtime_error(util::format(
-                    "--faults: bad attempt count '{}' in '{}'",
-                    count, item));
-            }
-            entry.fail_attempts = static_cast<uint32_t>(n);
-            head = head.substr(0, colon);
         }
         entry.kind = parseKind(head);
 
@@ -142,7 +124,7 @@ FaultPlan::parse(const std::string &spec)
     return plan;
 }
 
-FaultAction
+FaultKind
 FaultPlan::actionFor(size_t index, const std::string &label,
                      uint64_t seed) const
 {
@@ -161,9 +143,9 @@ FaultPlan::actionFor(size_t index, const std::string &label,
             match = e.label == label;
         }
         if (match)
-            return FaultAction{e.kind, e.fail_attempts};
+            return e.kind;
     }
-    return FaultAction{};
+    return FaultKind::None;
 }
 
 } // namespace rlr::sim

@@ -7,9 +7,7 @@
  * (docs/ROBUSTNESS.md); `throw@<workload>:<policy>` forces one
  * cell to fail:
  *
- *   throw            cell throws a non-retryable error
- *   transient[:N]    cell throws a RETRYABLE error on its first N
- *                    attempts (default 1), then succeeds
+ *   throw            cell throws an error
  *   hang             cell blocks until its cancel token fires
  *                    (exercises the --cell-timeout watchdog)
  *   abort            the PROCESS is SIGKILLed when the cell starts
@@ -20,36 +18,23 @@
  *
  * Each entry targets cells by zero-based index (`hang@2`), by
  * `workload:policy` label (`throw@429.mcf:RLR`), or by a
- * deterministic per-cell rate (`transient%0.25`).
+ * deterministic per-cell rate (`throw%0.25`).
  */
 
 #ifndef RLR_SIM_FAULT_PLAN_HH
 #define RLR_SIM_FAULT_PLAN_HH
 
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace rlr::sim
 {
 
-/**
- * A cell failure the SweepRunner may re-queue with backoff
- * (injected transient faults; watchdog timeouts are retried via
- * util::CancelledError's Timeout reason instead).
- */
-class RetryableError : public std::runtime_error
-{
-  public:
-    using std::runtime_error::runtime_error;
-};
-
 /** What to inject into one cell. */
 enum class FaultKind : uint8_t {
     None = 0,
     Throw,
-    Transient,
     Hang,
     AbortProcess,
     CorruptJournal,
@@ -57,14 +42,6 @@ enum class FaultKind : uint8_t {
 
 /** @return the spec keyword for @p kind ("throw", "hang", ...). */
 const char *faultKindName(FaultKind kind);
-
-/** Resolved fault for one cell. */
-struct FaultAction
-{
-    FaultKind kind = FaultKind::None;
-    /** Transient: attempts that fail before success. */
-    uint32_t fail_attempts = 1;
-};
 
 /** Parsed `--faults` specification. */
 class FaultPlan
@@ -74,7 +51,7 @@ class FaultPlan
 
     /**
      * Parse a comma-separated spec, e.g.
-     * "abort@2", "hang@0,throw@429.mcf:RLR", "transient:2%0.5".
+     * "abort@2", "hang@0,throw@429.mcf:RLR", "throw%0.5".
      * @throws std::runtime_error on bad syntax
      */
     static FaultPlan parse(const std::string &spec);
@@ -87,14 +64,13 @@ class FaultPlan
      * hash the seed so selection is deterministic and
      * thread-count independent). First matching entry wins.
      */
-    FaultAction actionFor(size_t index, const std::string &label,
-                          uint64_t seed) const;
+    FaultKind actionFor(size_t index, const std::string &label,
+                        uint64_t seed) const;
 
   private:
     struct Entry
     {
         FaultKind kind = FaultKind::None;
-        uint32_t fail_attempts = 1;
         /** Exactly one selector is active. */
         bool by_index = false;
         size_t index = 0;

@@ -207,9 +207,6 @@ SweepJournal::cellToJson(const SweepCell &cell)
     out += util::format("  \"policy\": \"{}\",\n",
                         escape(cell.policy));
     out += util::format("  \"seed\": \"{}\",\n", cell.seed);
-    out += util::format("  \"attempts\": {},\n", cell.attempts);
-    out += util::format("  \"retry_wait_s\": {},\n",
-                        number(cell.retry_wait_s));
     out += util::format("  \"start_seconds\": {},\n",
                         number(cell.start_seconds));
     out += util::format("  \"wall_seconds\": {},\n",
@@ -286,9 +283,6 @@ SweepJournal::cellFromJson(const std::string &text)
     cell.workload = root.stringOr("workload", "");
     cell.policy = root.stringOr("policy", "");
     cell.seed = u64Member(root, "seed");
-    cell.attempts =
-        static_cast<uint32_t>(root.numberOr("attempts", 1));
-    cell.retry_wait_s = root.numberOr("retry_wait_s", 0.0);
     cell.start_seconds = root.numberOr("start_seconds", 0.0);
     cell.wall_seconds = root.numberOr("wall_seconds", 0.0);
     cell.mips = root.numberOr("mips", 0.0);
@@ -468,8 +462,7 @@ SweepJournal::append(uint64_t spec_hash, const SweepCell &cell,
 
 void
 SweepJournal::markInFlight(uint64_t spec_hash,
-                           const SweepRunner::CellSpec &spec,
-                           uint32_t attempt) const
+                           const SweepRunner::CellSpec &spec) const
 {
     std::string body = "{\n";
     body += "  \"record\": \"rlr-sweep-inflight\",\n";
@@ -477,7 +470,6 @@ SweepJournal::markInFlight(uint64_t spec_hash,
                          escape(spec.workload));
     body += util::format("  \"policy\": \"{}\",\n",
                          escape(spec.policy));
-    body += util::format("  \"attempt\": {},\n", attempt);
     body += "  \"eor\": 1\n";
     body += "}\n";
     // Written in place and not fsynced: a marker is advisory, and
@@ -569,9 +561,8 @@ SweepJournal::summarize(const std::string &dir)
                 cellFromJson(readFile(dir + "/" + name));
             if (cell.ok()) {
                 ++ok;
-                out += util::format(
-                    "  {}  {}:{}  ok  attempts {}\n", name,
-                    cell.workload, cell.policy, cell.attempts);
+                out += util::format("  {}  {}:{}  ok\n", name,
+                                    cell.workload, cell.policy);
             } else {
                 ++failed;
                 out += util::format(
@@ -584,7 +575,7 @@ SweepJournal::summarize(const std::string &dir)
                                 e.what());
         }
     }
-    // In-flight markers left by running (or crashed) attempts:
+    // In-flight markers left by running (or crashed) cells:
     // age comes from the marker's mtime, so a stuck cell is
     // visible even without a heartbeat file.
     for (const auto &name : inflight) {
@@ -597,19 +588,15 @@ SweepJournal::summarize(const std::string &dir)
                         .count();
         }
         std::string cell = "?";
-        uint32_t attempt = 0;
         try {
             const auto v = stats::json::parse(readFile(path));
             cell = v.stringOr("workload", "?") + ":" +
                    v.stringOr("policy", "?");
-            attempt = static_cast<uint32_t>(
-                v.numberOr("attempt", 0));
         } catch (const std::exception &) {
             // Torn marker: still list it, age alone is useful.
         }
-        out += util::format(
-            "  {}  {}  IN-FLIGHT  attempt {}  age {:.1f}s\n",
-            name, cell, attempt, age_s);
+        out += util::format("  {}  {}  IN-FLIGHT  age {:.1f}s\n",
+                            name, cell, age_s);
     }
     out += util::format(
         "  {} records: {} ok, {} failed, {} unreadable",

@@ -10,8 +10,8 @@
  *   <dir>/cell-<hex16>.json      one record per completed cell,
  *                                named by its spec hash
  *   <dir>/inflight-<hex16>.json  marker for a cell currently
- *                                running (written at attempt
- *                                start, removed by append), so
+ *                                running (written when the cell
+ *                                starts, removed by append), so
  *                                `inspect --journal` can show
  *                                stuck cells and their age
  *
@@ -27,9 +27,11 @@
  * On restart, the runner re-opens the journal: the header must
  * match the current sweep's format version, master seed, and
  * config hash (mismatch = hard error naming the field), while a
- * build-id mismatch only warns. Readable records are served from
- * memory; a corrupt or mismatched record warns with the offending
- * path and the cell simply re-runs.
+ * build-id mismatch only warns. Readable ok records are served
+ * from memory; a failed record re-runs (a cell is a pure function
+ * of its spec, so only a host-caused failure such as a timeout can
+ * pass the second time), and a corrupt or mismatched record warns
+ * with the offending path and the cell simply re-runs.
  *
  * Numeric durability: 64-bit seeds are stored as decimal STRINGS
  * (the JSON reader parses numbers via double, which loses
@@ -135,8 +137,7 @@ class SweepJournal
                 bool corrupt = false) const;
 
     /**
-     * Drop an in-flight marker for a cell attempt that is about
-     * to run. The marker (named by spec hash, age readable from
+     * Drop an in-flight marker for a cell that is about to run. The marker (named by spec hash, age readable from
      * its mtime) is removed when append() records the outcome; a
      * marker that outlives the sweep marks the cell a crash took
      * down mid-run. Written in place without fsync, so a cell's
@@ -144,12 +145,11 @@ class SweepJournal
      * only warn — liveness breadcrumbs must never fail a sweep.
      */
     void markInFlight(uint64_t spec_hash,
-                      const SweepRunner::CellSpec &spec,
-                      uint32_t attempt) const;
+                      const SweepRunner::CellSpec &spec) const;
 
     /**
      * Remove in-flight markers whose mtime is older than
-     * @p ttl_s — breadcrumbs of attempts a crashed process never
+     * @p ttl_s — breadcrumbs of cells a crashed process never
      * finished. Markers for cells that already have a record are
      * reaped regardless of age. @return markers removed (counted
      * in `sweep.reaped_markers`).

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <memory>
@@ -23,7 +22,6 @@
 #include "util/cancel_token.hh"
 #include "util/format.hh"
 #include "util/logging.hh"
-#include "util/rng.hh"
 #include "util/thread_pool.hh"
 
 #ifndef RLR_GIT_DESCRIBE
@@ -129,61 +127,24 @@ class SignalGuard
 };
 
 /** Per-cell watchdog state shared with the monitor. */
-struct AttemptSlot
+struct CellSlot
 {
     util::CancelToken token;
-    /** Deadline in steady-clock millis; -1 = no attempt armed. */
+    /** Deadline in steady-clock millis; -1 = no cell armed. */
     std::atomic<int64_t> deadline_ms{-1};
 };
 
-/**
- * Decorrelated jitter (the AWS architecture-blog variant): each
- * wait is uniform in [base, 3 * previous], capped. @p prev is
- * updated in place.
- */
-double
-decorrelatedJitter(util::Rng &rng, double &prev, double base,
-                   double cap)
-{
-    const double hi = std::max(base, prev * 3.0);
-    double wait = base + rng.nextDouble() * (hi - base);
-    wait = std::min(wait, std::max(base, cap));
-    prev = wait;
-    return wait;
-}
-
-/** Sleep @p seconds in small slices, bailing on drain. */
-void
-sleepInterruptible(double seconds,
-                   const std::atomic<bool> &draining)
-{
-    const auto t0 = Clock::now();
-    while (secondsSince(t0) < seconds &&
-           !draining.load(std::memory_order_relaxed)) {
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(5));
-    }
-}
-
 /** Raise the configured fault before the cell body runs. */
 void
-injectFault(const FaultAction &fault, uint32_t attempt,
-            const util::CancelToken &token)
+injectFault(FaultKind fault, const util::CancelToken &token)
 {
-    switch (fault.kind) {
+    switch (fault) {
       case FaultKind::None:
-      case FaultKind::AbortProcess:   // handled before the loop
+      case FaultKind::AbortProcess:   // handled before the cell runs
       case FaultKind::CorruptJournal: // handled at journal time
         return;
       case FaultKind::Throw:
         throw std::runtime_error("injected fault: throw");
-      case FaultKind::Transient:
-        if (attempt <= fault.fail_attempts) {
-            throw RetryableError(util::format(
-                "injected fault: transient (attempt {} of {})",
-                attempt, fault.fail_attempts));
-        }
-        return;
       case FaultKind::Hang:
         // Block exactly like a wedged simulation would: the only
         // way out is the cooperative cancel token (watchdog
@@ -198,14 +159,15 @@ injectFault(const FaultAction &fault, uint32_t attempt,
 
 /**
  * Age past which an in-flight marker left by an earlier run counts
- * as stale: its attempt died with the process that started it.
+ * as stale: its cell died with the process that started it.
  */
 constexpr double kStaleMarkerS = 10.0;
 
 /**
  * Journal open + resume: verify the header, mark every cell an
- * earlier run committed resumed, reap stale in-flight markers, and
- * fill @p hashes. @return nullptr when the sweep has no journal.
+ * earlier run committed ok resumed (a failed record re-runs), reap
+ * stale in-flight markers, and fill @p hashes. @return nullptr
+ * when the sweep has no journal.
  */
 std::unique_ptr<SweepJournal>
 openJournal(const SimParams &params, const SweepOptions &opts,
@@ -237,13 +199,16 @@ openJournal(const SimParams &params, const SweepOptions &opts,
                    "resumed cells carry empty events");
     }
     for (size_t i = 0; i < n; ++i) {
+        SweepCell record;
         if (journal->load(hashes[i], specs[i], cells[i].seed,
-                          cells[i])) {
+                          record) &&
+            record.ok()) {
+            cells[i] = std::move(record);
             cells[i].resumed = true;
         }
     }
     // In-flight markers older than kStaleMarkerS (or covered by a
-    // record) are breadcrumbs of attempts a crashed run never
+    // record) are breadcrumbs of cells a crashed run never
     // finished.
     reaped_markers = journal->reapStaleMarkers(kStaleMarkerS);
     if (reaped_markers > 0) {
@@ -331,10 +296,10 @@ class CellClaims
 };
 
 /** The monitor thread: every 20 ms until @p stop, turn a caught
- *  signal into a drain and cancel attempts past their watchdog
+ *  signal into a drain and cancel cells past their watchdog
  *  deadline. */
 void
-monitorLoop(const SweepOptions &opts, std::vector<AttemptSlot> &slots,
+monitorLoop(const SweepOptions &opts, std::vector<CellSlot> &slots,
             std::atomic<bool> &draining, const std::stop_token &stop)
 {
     using Reason = util::CancelToken::Reason;
@@ -351,7 +316,7 @@ monitorLoop(const SweepOptions &opts, std::vector<AttemptSlot> &slots,
                            "journal + partial JSON)",
                            sig);
             }
-            // Re-cancel every poll: attempts armed in the race
+            // Re-cancel every poll: cells armed in the race
             // window still get the signal reason.
             for (auto &slot : slots)
                 slot.token.cancel(Reason::Signal);
@@ -438,8 +403,7 @@ SweepRunner::runCells(std::vector<CellSpec> specs)
             resumed);
     }
 
-    std::vector<AttemptSlot> slots(n);
-    std::atomic<uint64_t> retry_count{0};
+    std::vector<CellSlot> slots(n);
     std::atomic<uint64_t> timeout_count{0};
     std::atomic<uint64_t> failed_count{0};
     std::atomic<uint64_t> cancelled_count{0};
@@ -486,15 +450,15 @@ SweepRunner::runCells(std::vector<CellSpec> specs)
     auto run_one = [&](size_t i) {
         SweepCell &cell = cells[i];
         const CellSpec &spec = specs[i];
-        AttemptSlot &slot = slots[i];
+        CellSlot &slot = slots[i];
         const std::string label =
             spec.workload + ":" + spec.policy;
-        const FaultAction fault =
+        const FaultKind fault =
             opts_.faults.actionFor(i, label, cell.seed);
 
         // Deterministic crash for the crash/resume harness: die
         // the instant this cell is reached, no flushing.
-        if (fault.kind == FaultKind::AbortProcess &&
+        if (fault == FaultKind::AbortProcess &&
             !draining.load(std::memory_order_relaxed)) {
             std::raise(SIGKILL);
         }
@@ -509,26 +473,15 @@ SweepRunner::runCells(std::vector<CellSpec> specs)
         const obs::ResourceSample res_start =
             obs::ResourceSample::now(
                 obs::ResourceSample::Scope::Thread);
-        const uint32_t max_attempts = 1 + opts_.cell_retries;
-        double backoff_prev = opts_.retry_base_s;
-        util::Rng retry_rng(mix64(cell.seed ^ 0x7265747279ULL));
         bool signal_cancelled = false;
-
-        for (uint32_t attempt = 1; attempt <= max_attempts;
-             ++attempt) {
-            cell.attempts = attempt;
-            cell.error.clear();
-            cell.timed_out = false;
-            if (draining.load(std::memory_order_relaxed)) {
-                cell.error = "cancelled: signal";
-                signal_cancelled = true;
-                break;
-            }
-            slot.token.reset();
+        if (draining.load(std::memory_order_relaxed)) {
+            cell.error = "cancelled: signal";
+            signal_cancelled = true;
+        } else {
             if (heartbeat)
-                heartbeat->cellStarted(label, attempt);
+                heartbeat->cellStarted(label);
             if (journal)
-                journal->markInFlight(hashes[i], spec, attempt);
+                journal->markInFlight(hashes[i], spec);
             if (opts_.cell_timeout_s > 0.0) {
                 slot.deadline_ms.store(
                     nowMillis() +
@@ -536,9 +489,8 @@ SweepRunner::runCells(std::vector<CellSpec> specs)
                             opts_.cell_timeout_s * 1000.0),
                     std::memory_order_relaxed);
             }
-            bool retryable = false;
             try {
-                injectFault(fault, attempt, slot.token);
+                injectFault(fault, slot.token);
                 cell.result = cell_fn_
                                   ? cell_fn_(spec, p)
                                   : runWorkloads(spec.cores, p);
@@ -555,31 +507,16 @@ SweepRunner::runCells(std::vector<CellSpec> specs)
                         "--cell-timeout {}s",
                         number(opts_.cell_timeout_s));
                     cell.timed_out = true;
-                    retryable = true;
                     timeout_count.fetch_add(1);
                 } else {
                     cell.error = e.what();
                 }
-            } catch (const RetryableError &e) {
-                cell.error = e.what();
-                retryable = true;
             } catch (const std::exception &e) {
                 cell.error = e.what();
             } catch (...) {
                 cell.error = "unknown exception";
             }
-            slot.deadline_ms.store(-1,
-                                   std::memory_order_relaxed);
-            if (signal_cancelled || cell.ok())
-                break;
-            if (!retryable || attempt == max_attempts)
-                break;
-            retry_count.fetch_add(1);
-            const double wait = decorrelatedJitter(
-                retry_rng, backoff_prev, opts_.retry_base_s,
-                opts_.retry_cap_s);
-            cell.retry_wait_s += wait;
-            sleepInterruptible(wait, draining);
+            slot.deadline_ms.store(-1, std::memory_order_relaxed);
         }
 
         cell.wall_seconds = secondsSince(cell_start);
@@ -605,7 +542,7 @@ SweepRunner::runCells(std::vector<CellSpec> specs)
             cancelled_count.fetch_add(1);
         } else {
             claims.commit(i, cell,
-                          fault.kind == FaultKind::CorruptJournal);
+                          fault == FaultKind::CorruptJournal);
             completed_count.fetch_add(1);
             if (!cell.ok())
                 failed_count.fetch_add(1);
@@ -637,7 +574,6 @@ SweepRunner::runCells(std::vector<CellSpec> specs)
 
     sweep_stats_ = SweepStats{.completed_cells = completed_count,
                               .resumed_cells = resumed,
-                              .retries = retry_count,
                               .timeouts = timeout_count,
                               .failed_cells = failed_count,
                               .cancelled_cells = cancelled_count,
@@ -649,7 +585,6 @@ SweepRunner::runCells(std::vector<CellSpec> specs)
             cell.start_seconds = 0.0;
             cell.wall_seconds = 0.0;
             cell.mips = 0.0;
-            cell.retry_wait_s = 0.0;
             cell.cpu_user_s = 0.0;
             cell.cpu_sys_s = 0.0;
             cell.max_rss_kb = 0;
@@ -732,9 +667,6 @@ SweepRunner::toJson(const std::vector<SweepCell> &cells)
         out += util::format("\"runtime_s\": {}, ",
                             number(c.wall_seconds));
         out += util::format("\"mips\": {}, ", number(c.mips));
-        out += util::format("\"attempts\": {}, ", c.attempts);
-        out += util::format("\"retry_wait_s\": {}, ",
-                            number(c.retry_wait_s));
         out += util::format("\"cpu_user_s\": {}, ",
                             number(c.cpu_user_s));
         out += util::format("\"cpu_sys_s\": {}, ",

@@ -17,14 +17,15 @@
  * (journal_dir) records each committed cell, and a restarted sweep
  * skips journaled cells with byte-identical stable exports, which
  * is also how a sweep whose process was killed recovers; a
- * watchdog (cell_timeout_s) cancels overrunning attempts through
- * the cooperative CancelToken; retryable failures re-run up to
- * cell_retries times with decorrelated-jitter backoff;
+ * watchdog (cell_timeout_s) cancels an overrunning cell through
+ * the cooperative CancelToken. A cell that throws or times out
+ * fails once and is journaled as failed; resume re-runs failed
+ * records, so a journaled restart is the one way to re-run a cell.
  * SIGINT/SIGTERM (handle_signals) drain: in-flight cells are
  * cancelled, unclaimed ones labelled, finished ones stay
  * journaled; a FaultPlan (faults) injects failures for tests.
  *
- * Observability: per-cell runtime, MIPS, attempts and resources;
+ * Observability: per-cell runtime, MIPS and resources;
  * sweep.* counters via stats(); an optional progress line, JSON
  * export, and heartbeat file.
  */
@@ -54,10 +55,9 @@ struct SweepOptions
     /** When non-empty, write a JSON export here after the run. */
     std::string json_path;
     /**
-     * Zero the wall-clock telemetry (runtime_s, mips,
-     * retry_wait_s) on every cell so exports are byte-identical
-     * across runs of the same seed (reproducibility checks,
-     * golden files).
+     * Zero the wall-clock telemetry (runtime_s, mips, resources)
+     * on every cell so exports are byte-identical across runs of
+     * the same seed (reproducibility checks, golden files).
      */
     bool stable_telemetry = false;
 
@@ -66,14 +66,8 @@ struct SweepOptions
      * directory and resume from it on restart (sim/journal.hh).
      */
     std::string journal_dir;
-    /** Watchdog deadline per cell attempt in seconds; 0 = off. */
+    /** Watchdog deadline per cell in seconds; 0 = off. */
     double cell_timeout_s = 0.0;
-    /** Retries per cell for retryable failures (timeouts,
-     *  RetryableError). 0 = fail on first error. */
-    uint32_t cell_retries = 0;
-    /** Decorrelated-jitter backoff: base and cap in seconds. */
-    double retry_base_s = 0.05;
-    double retry_cap_s = 2.0;
     /** Install SIGINT/SIGTERM graceful-drain handlers while the
      *  sweep runs (finish/cancel in-flight cells, flush journal
      *  and partial JSON, leave the process to exit nonzero). */
@@ -99,7 +93,6 @@ struct SweepStats
 {
     uint64_t completed_cells = 0;
     uint64_t resumed_cells = 0;
-    uint64_t retries = 0;
     uint64_t timeouts = 0;
     uint64_t failed_cells = 0;
     uint64_t cancelled_cells = 0;
@@ -110,7 +103,6 @@ struct SweepStats
     {
         completed_cells += o.completed_cells;
         resumed_cells += o.resumed_cells;
-        retries += o.retries;
         timeouts += o.timeouts;
         failed_cells += o.failed_cells;
         cancelled_cells += o.cancelled_cells;
@@ -170,8 +162,8 @@ class SweepRunner
 
     /**
      * Exit-code policy of every bench binary: 130 after a
-     * SIGINT/SIGTERM drain, 1 when any cell exhausted retries (or
-     * failed terminally), 0 only when every cell committed ok.
+     * SIGINT/SIGTERM drain, 1 when any cell failed, 0 only when
+     * every cell committed ok.
      */
     static int exitCode(bool interrupted, bool any_failed);
 

@@ -60,13 +60,6 @@ class CancelToken
             state_.load(std::memory_order_acquire));
     }
 
-    /** Re-arm for the next attempt (retry loops). */
-    void
-    reset() noexcept
-    {
-        state_.store(0, std::memory_order_release);
-    }
-
     /** Human name of @p r ("timeout", "signal", ...). */
     static const char *reasonName(Reason r) noexcept;
 

@@ -80,6 +80,22 @@ class SatCounter
     uint64_t value_;
 };
 
+/** Saturating increment of a one-byte counter up to @p max. */
+inline void
+satIncrement(uint8_t &ctr, uint8_t max)
+{
+    if (ctr < max)
+        ++ctr;
+}
+
+/** Saturating decrement of a one-byte counter down to zero. */
+inline void
+satDecrement(uint8_t &ctr)
+{
+    if (ctr > 0)
+        --ctr;
+}
+
 /**
  * An n-bit signed saturating counter in [-2^(n-1), 2^(n-1)-1],
  * as used by perceptron-style predictors and set-dueling monitors.

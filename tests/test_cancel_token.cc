@@ -43,17 +43,6 @@ TEST(CancelToken, FirstCancelWins)
     EXPECT_EQ(token.reason(), CancelToken::Reason::Timeout);
 }
 
-TEST(CancelToken, ResetRearms)
-{
-    CancelToken token;
-    token.cancel(CancelToken::Reason::Signal);
-    token.reset();
-    EXPECT_FALSE(token.cancelled());
-    EXPECT_EQ(token.reason(), CancelToken::Reason::None);
-    token.cancel(CancelToken::Reason::Other);
-    EXPECT_EQ(token.reason(), CancelToken::Reason::Other);
-}
-
 TEST(CancelToken, ReasonNames)
 {
     EXPECT_STREQ(CancelToken::reasonName(

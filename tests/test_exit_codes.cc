@@ -1,8 +1,7 @@
 // Exit-code audit (docs/ROBUSTNESS.md): every bench binary
 // resolves its exit status through SweepRunner::exitCode, so this
 // table IS the policy — 130 after a SIGINT/SIGTERM drain, 1 when
-// any cell exhausted its retries, 0 only when every cell
-// committed ok.
+// any cell failed, 0 only when every cell committed ok.
 
 #include <gtest/gtest.h>
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "policies/hawkeye.hh"
@@ -9,6 +11,8 @@
 #include "util/bits.hh"
 #include "util/rng.hh"
 #include "util/sat_counter.hh"
+#include "verify/ref_cache.hh"
+#include "verify/ref_policies.hh"
 
 using namespace rlr;
 using namespace rlr::policies;
@@ -208,6 +212,59 @@ TEST(Hawkeye, MixedWorkloadProtectsFriendly)
     // 2 of 3 accesses per round are to hot lines.
     EXPECT_GT(stats.hitRate(), 0.55);
     EXPECT_FALSE(p.predictsFriendly(0x900));
+}
+
+TEST(Hawkeye, OptgenDecidesAsBeladyWithBypass)
+{
+    // With its history window longer than the stream, OPTgen's
+    // decision for each reuse must be the hit or miss of Belady's
+    // MIN with bypass on the same single 4-way set.
+    util::Rng rng(21);
+    uint64_t hits = 0;
+    for (int stream = 0; stream < 200; ++stream) {
+        const uint64_t n_lines = 5 + rng.nextBounded(12);
+        const uint64_t length = 200 + rng.nextBounded(800);
+        std::vector<uint64_t> lines(length);
+        for (auto &l : lines)
+            l = rng.nextBounded(n_lines) * 64;
+
+        HawkeyeConfig cfg;
+        cfg.history_factor = 1000; // 4000 set accesses > length
+        HawkeyePolicy p(cfg);
+        cache::CacheGeometry g;
+        g.ways = 4;
+        g.size_bytes = g.ways * 64; // one set, sampled
+        p.bind(g);
+        std::optional<bool> decision;
+        p.setOptgenObserver([&](bool opt_hit) {
+            ASSERT_FALSE(decision.has_value());
+            decision = opt_hit;
+        });
+        verify::RefCache belady(
+            1, g.ways,
+            std::make_unique<verify::RefBelady>(lines, true));
+        std::vector<bool> seen(n_lines, false);
+        for (uint64_t i = 0; i < length; ++i) {
+            cache::AccessContext ctx;
+            ctx.full_addr = lines[i];
+            ctx.pc = 0x400;
+            decision.reset();
+            p.onAccess(ctx);
+            const bool opt = belady.access({lines[i], 0x400,
+                                            trace::AccessType::Load,
+                                            0, i})
+                                 .hit;
+            // A first access has no reuse to decide.
+            const bool reuse = seen[lines[i] / 64];
+            seen[lines[i] / 64] = true;
+            ASSERT_EQ(decision.has_value(), reuse)
+                << "stream " << stream << " access " << i;
+            ASSERT_EQ(decision.value_or(false), opt)
+                << "stream " << stream << " access " << i;
+            hits += opt;
+        }
+    }
+    EXPECT_GT(hits, 10000u);
 }
 
 TEST(Hawkeye, OverheadMatchesPaper)

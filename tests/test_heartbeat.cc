@@ -67,9 +67,9 @@ TEST(Heartbeat, JsonRoundTrip)
     hb.max_rss_kb = 150000;
     hb.done = false;
     hb.workers.push_back(
-        obs::HeartbeatWorker{0, "429.mcf:RLR", 1, 3.25});
+        obs::HeartbeatWorker{0, "429.mcf:RLR", 3.25});
     hb.workers.push_back(
-        obs::HeartbeatWorker{2, "403.gcc:\"odd\"", 2, 45.0});
+        obs::HeartbeatWorker{2, "403.gcc:\"odd\"", 45.0});
 
     const obs::Heartbeat back =
         obs::heartbeatFromJson(obs::heartbeatToJson(hb));
@@ -87,7 +87,6 @@ TEST(Heartbeat, JsonRoundTrip)
     EXPECT_EQ(back.workers[0].cell, "429.mcf:RLR");
     EXPECT_EQ(back.workers[1].worker, 2u);
     EXPECT_EQ(back.workers[1].cell, "403.gcc:\"odd\"");
-    EXPECT_EQ(back.workers[1].attempt, 2u);
     EXPECT_DOUBLE_EQ(back.workers[1].age_s, 45.0);
 }
 
@@ -109,12 +108,28 @@ TEST(Heartbeat, RejectsForeignAndTruncated)
                  std::runtime_error);
 }
 
+TEST(Heartbeat, ReadsWorkersWithAttemptKey)
+{
+    // Earlier builds wrote an "attempt" member per worker; such a
+    // file still parses, and the member is dropped.
+    obs::Heartbeat hb;
+    hb.workers.push_back(obs::HeartbeatWorker{1, "429.mcf:RLR", 2.5});
+    std::string text = obs::heartbeatToJson(hb);
+    const std::string age = "\"age_s\"";
+    text.insert(text.find(age), "\"attempt\": 3, ");
+    const obs::Heartbeat back = obs::heartbeatFromJson(text);
+    ASSERT_EQ(back.workers.size(), 1u);
+    EXPECT_EQ(back.workers[0].worker, 1u);
+    EXPECT_EQ(back.workers[0].cell, "429.mcf:RLR");
+    EXPECT_DOUBLE_EQ(back.workers[0].age_s, 2.5);
+}
+
 TEST(Heartbeat, WriterLifecycle)
 {
     const std::string path = tempPath("lifecycle");
     {
         obs::HeartbeatWriter writer(path, 0.01, 6, 2);
-        writer.cellStarted("429.mcf:RLR", 1);
+        writer.cellStarted("429.mcf:RLR");
         obs::Heartbeat snap = writer.snapshot();
         EXPECT_EQ(snap.cells_total, 6u);
         EXPECT_EQ(snap.cells_resumed, 2u);
@@ -123,7 +138,7 @@ TEST(Heartbeat, WriterLifecycle)
         EXPECT_EQ(snap.workers[0].cell, "429.mcf:RLR");
 
         writer.cellFinished(true);
-        writer.cellStarted("403.gcc:LRU", 2);
+        writer.cellStarted("403.gcc:LRU");
         writer.cellFinished(false);
         writer.finish();
     }
@@ -162,7 +177,7 @@ TEST(Heartbeat, ReadersNeverSeeTornWrites)
         unsigned i = 0;
         while (!stop.load()) {
             writer.cellStarted(
-                "w" + std::to_string(i++ % 7) + ":LRU", 1);
+                "w" + std::to_string(i++ % 7) + ":LRU");
             std::this_thread::sleep_for(
                 std::chrono::microseconds(200));
         }

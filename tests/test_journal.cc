@@ -61,8 +61,6 @@ okCell()
     cell.workload = "429.mcf";
     cell.policy = "RLR";
     cell.seed = 0xdeadbeefcafef00dULL; // above 2^53 on purpose
-    cell.attempts = 2;
-    cell.retry_wait_s = 0.125;
     cell.start_seconds = 1.5;
     cell.wall_seconds = 2.25;
     cell.mips = 3.75;
@@ -172,8 +170,6 @@ TEST(Journal, CellRoundTripOk)
     EXPECT_EQ(back.workload, cell.workload);
     EXPECT_EQ(back.policy, cell.policy);
     EXPECT_EQ(back.seed, cell.seed); // exact u64, above 2^53
-    EXPECT_EQ(back.attempts, cell.attempts);
-    EXPECT_EQ(back.retry_wait_s, cell.retry_wait_s);
     EXPECT_TRUE(back.ok());
     EXPECT_EQ(back.result.total_instructions,
               cell.result.total_instructions);
@@ -200,13 +196,11 @@ TEST(Journal, CellRoundTripError)
     cell.seed = 7;
     cell.error = "timeout: attempt exceeded --cell-timeout 2s";
     cell.timed_out = true;
-    cell.attempts = 3;
     const SweepCell back =
         SweepJournal::cellFromJson(SweepJournal::cellToJson(cell));
     EXPECT_FALSE(back.ok());
     EXPECT_EQ(back.error, cell.error);
     EXPECT_TRUE(back.timed_out);
-    EXPECT_EQ(back.attempts, 3u);
     EXPECT_TRUE(back.result.cores.empty());
 }
 
@@ -363,16 +357,16 @@ TEST(Journal, ReapStaleMarkers)
     // regardless of age (append removes its own marker, so write
     // one back by hand)...
     journal.markInFlight(
-        committed_hash, spec(cell.workload, cell.policy), 1);
+        committed_hash, spec(cell.workload, cell.policy));
     // ...an old orphan marker is reaped by age...
-    journal.markInFlight(0x1111, spec("470.lbm", "LRU"), 1);
+    journal.markInFlight(0x1111, spec("470.lbm", "LRU"));
     const std::string orphan =
         dir + "/inflight-0000000000001111.json";
     fs::last_write_time(
         orphan, fs::file_time_type::clock::now() -
                     std::chrono::seconds(3600));
     // ...and a fresh marker for a live cell is kept.
-    journal.markInFlight(0x2222, spec("429.mcf", "LRU"), 1);
+    journal.markInFlight(0x2222, spec("429.mcf", "LRU"));
 
     SweepJournal reopened(dir, h); // loads the committed record
     EXPECT_EQ(reopened.reapStaleMarkers(10.0), 2u);
@@ -469,6 +463,30 @@ TEST(Journal, SummarizeListsRecords)
     EXPECT_NE(summary.find("injected fault: throw"),
               std::string::npos);
     EXPECT_NE(summary.find("1 ok, 1 failed"), std::string::npos)
+        << summary;
+    fs::remove_all(dir);
+}
+
+TEST(Journal, ReadsRecordsAndMarkersWithAttemptKeys)
+{
+    // Earlier builds wrote retry telemetry such as "attempts" into
+    // every record and "attempt" into every in-flight marker. Both
+    // still parse, and the extra keys are dropped.
+    const SweepCell cell = okCell();
+    std::string old = SweepJournal::cellToJson(cell);
+    const size_t seed_end = old.find('\n', old.find("\"seed\""));
+    old.insert(seed_end + 1, "  \"attempts\": 2,\n");
+    EXPECT_EQ(SweepJournal::cellToJson(SweepJournal::cellFromJson(old)),
+              SweepJournal::cellToJson(cell));
+
+    const std::string dir = tempDir("journal_old_marker");
+    SweepJournal journal(dir, header(42, 1111, 1));
+    std::ofstream(dir + "/inflight-0000000000003333.json")
+        << "{\n  \"record\": \"rlr-sweep-inflight\",\n"
+           "  \"workload\": \"470.lbm\",\n  \"policy\": \"LRU\",\n"
+           "  \"attempt\": 2,\n  \"eor\": 1\n}\n";
+    const std::string summary = SweepJournal::summarize(dir);
+    EXPECT_NE(summary.find("470.lbm:LRU  IN-FLIGHT"), std::string::npos)
         << summary;
     fs::remove_all(dir);
 }

@@ -1,10 +1,10 @@
 /**
  * @file
  * Crash-safe sweep robustness: journal-backed resume (full and
- * partial, byte-identical exports), retry-with-backoff on
- * transient faults, the --cell-timeout watchdog reaping a hung
- * cell while the rest of the sweep completes, and the FaultPlan
- * grammar driving all of it.
+ * partial, byte-identical exports, failed records re-run), the
+ * --cell-timeout watchdog reaping a hung cell while the rest of
+ * the sweep completes, and the FaultPlan grammar driving all of
+ * it.
  */
 
 #include <gtest/gtest.h>
@@ -160,64 +160,6 @@ TEST(SweepResume, PartialResumeRerunsOnlyTheMissingCell)
     fs::remove_all(dir);
 }
 
-TEST(SweepResume, TransientFaultRetriesThenSucceeds)
-{
-    sim::SimParams params;
-    SweepOptions opts;
-    opts.cell_retries = 2;
-    opts.retry_base_s = 0.001;
-    opts.retry_cap_s = 0.002;
-    opts.faults = FaultPlan::parse("transient:2@0");
-
-    SweepRunner runner(params, opts);
-    runner.setCellFn(fakeRun);
-    const auto cells = runner.run({"w1", "w2"}, {"LRU"});
-    ASSERT_EQ(cells.size(), 2u);
-    EXPECT_TRUE(cells[0].ok()) << cells[0].error;
-    EXPECT_EQ(cells[0].attempts, 3u); // 2 failures + 1 success
-    EXPECT_GT(cells[0].retry_wait_s, 0.0);
-    EXPECT_EQ(cells[1].attempts, 1u);
-    EXPECT_EQ(runner.stats().retries, 2u);
-    EXPECT_EQ(runner.stats().failed_cells, 0u);
-}
-
-TEST(SweepResume, TransientFaultExhaustsRetriesAndFails)
-{
-    sim::SimParams params;
-    SweepOptions opts;
-    opts.cell_retries = 1;
-    opts.retry_base_s = 0.001;
-    opts.retry_cap_s = 0.002;
-    opts.faults = FaultPlan::parse("transient:5@0");
-
-    SweepRunner runner(params, opts);
-    runner.setCellFn(fakeRun);
-    const auto cells = runner.run({"w1"}, {"LRU"});
-    ASSERT_EQ(cells.size(), 1u);
-    EXPECT_FALSE(cells[0].ok());
-    EXPECT_NE(cells[0].error.find("transient"),
-              std::string::npos);
-    EXPECT_EQ(cells[0].attempts, 2u);
-    EXPECT_EQ(runner.stats().retries, 1u);
-    EXPECT_EQ(runner.stats().failed_cells, 1u);
-}
-
-TEST(SweepResume, NonRetryableFaultFailsWithoutRetry)
-{
-    sim::SimParams params;
-    SweepOptions opts;
-    opts.cell_retries = 3;
-    opts.faults = FaultPlan::parse("throw@w1:LRU");
-
-    SweepRunner runner(params, opts);
-    runner.setCellFn(fakeRun);
-    const auto cells = runner.run({"w1"}, {"LRU"});
-    ASSERT_EQ(cells.size(), 1u);
-    EXPECT_EQ(cells[0].error, "injected fault: throw");
-    EXPECT_EQ(cells[0].attempts, 1u); // plain throws never retry
-    EXPECT_EQ(runner.stats().retries, 0u);
-}
-
 TEST(SweepResume, WatchdogReapsHungCellWhileOthersComplete)
 {
     // The acceptance scenario: one injected hang must be reaped
@@ -242,27 +184,6 @@ TEST(SweepResume, WatchdogReapsHungCellWhileOthersComplete)
     EXPECT_TRUE(cells[2].ok()) << cells[2].error;
     EXPECT_EQ(runner.stats().timeouts, 1u);
     EXPECT_EQ(runner.stats().failed_cells, 1u);
-}
-
-TEST(SweepResume, TimeoutIsRetriedWhenRetriesAllowed)
-{
-    sim::SimParams params;
-    SweepOptions opts;
-    opts.cell_timeout_s = 0.1;
-    opts.cell_retries = 1;
-    opts.retry_base_s = 0.001;
-    opts.retry_cap_s = 0.002;
-    opts.faults = FaultPlan::parse("hang@0");
-
-    SweepRunner runner(params, opts);
-    runner.setCellFn(fakeRun);
-    const auto cells = runner.run({"w1"}, {"LRU"});
-    ASSERT_EQ(cells.size(), 1u);
-    // The hang fires every attempt, so both attempts time out.
-    EXPECT_TRUE(cells[0].timed_out);
-    EXPECT_EQ(cells[0].attempts, 2u);
-    EXPECT_EQ(runner.stats().timeouts, 2u);
-    EXPECT_EQ(runner.stats().retries, 1u);
 }
 
 TEST(SweepResume, CorruptJournalFaultForcesRerunOfThatCell)
@@ -304,10 +225,11 @@ TEST(SweepResume, CorruptJournalFaultForcesRerunOfThatCell)
     fs::remove_all(dir);
 }
 
-TEST(SweepResume, FailedCellsAreJournaledAsFinalOutcomes)
+TEST(SweepResume, ResumeRerunsFailedRecordAndKeepsOk)
 {
-    // A deterministic failure (plain throw) is a final outcome:
-    // resume must serve it from the journal, not re-run it.
+    // A failed record is not a final outcome: resume re-runs it
+    // and serves only ok records from the journal, so a journaled
+    // restart is how a failed cell gets re-run.
     const std::string dir = tempDir("resume_failed_cell");
     sim::SimParams params;
     SweepOptions opts;
@@ -325,42 +247,33 @@ TEST(SweepResume, FailedCellsAreJournaledAsFinalOutcomes)
     SweepRunner first(params, opts);
     first.setCellFn(counting);
     const auto cells1 = first.run({"w1", "w2"}, {"LRU"});
-    EXPECT_FALSE(cells1[0].ok());
+    EXPECT_EQ(cells1[0].error, "injected fault: throw");
+    EXPECT_TRUE(cells1[1].ok()) << cells1[1].error;
     ASSERT_EQ(runs.load(), 1); // cell 0 threw before the body
+    EXPECT_EQ(first.stats().failed_cells, 1u);
 
-    SweepRunner second(params, opts);
+    SweepOptions clean = opts;
+    clean.faults = FaultPlan();
+    SweepRunner second(params, clean);
     second.setCellFn(counting);
     const auto cells2 = second.run({"w1", "w2"}, {"LRU"});
-    EXPECT_EQ(runs.load(), 1); // nothing re-ran
-    EXPECT_EQ(second.stats().resumed_cells, 2u);
-    EXPECT_FALSE(cells2[0].ok());
-    EXPECT_EQ(cells2[0].error, "injected fault: throw");
-    EXPECT_EQ(SweepRunner::toJson(cells1),
-              SweepRunner::toJson(cells2));
+    EXPECT_EQ(runs.load(), 2); // only the failed cell re-ran
+    EXPECT_EQ(second.stats().resumed_cells, 1u);
+    EXPECT_EQ(second.stats().failed_cells, 0u);
+    EXPECT_FALSE(cells2[0].resumed);
+    EXPECT_TRUE(cells2[0].ok()) << cells2[0].error;
+    EXPECT_TRUE(cells2[1].resumed);
+
+    // The repaired sweep exports exactly what an uninterrupted
+    // run does.
+    SweepOptions plain;
+    plain.stable_telemetry = true;
+    SweepRunner reference(params, plain);
+    reference.setCellFn(fakeRun);
+    EXPECT_EQ(SweepRunner::toJson(cells2),
+              SweepRunner::toJson(
+                  reference.run({"w1", "w2"}, {"LRU"})));
     fs::remove_all(dir);
-}
-
-TEST(SweepResume, StableTelemetryZeroesRetryWait)
-{
-    sim::SimParams params;
-    SweepOptions opts;
-    opts.stable_telemetry = true;
-    opts.cell_retries = 1;
-    opts.retry_base_s = 0.001;
-    opts.retry_cap_s = 0.002;
-    opts.faults = FaultPlan::parse("transient:1@0");
-
-    SweepRunner runner(params, opts);
-    runner.setCellFn(fakeRun);
-    const auto cells = runner.run({"w1"}, {"LRU"});
-    ASSERT_EQ(cells.size(), 1u);
-    EXPECT_EQ(cells[0].attempts, 2u); // attempts stay truthful
-    EXPECT_EQ(cells[0].retry_wait_s, 0.0); // wall clock zeroed
-    const std::string json = SweepRunner::toJson(cells);
-    EXPECT_NE(json.find("\"retry_wait_s\": 0,"),
-              std::string::npos)
-        << json;
-    EXPECT_NE(json.find("\"attempts\": 2,"), std::string::npos);
 }
 
 // ---- one claim table for every worker thread ---------------------
@@ -530,15 +443,15 @@ TEST(FaultPlan, EmptySpecMatchesNothing)
 {
     const FaultPlan plan = FaultPlan::parse("");
     EXPECT_TRUE(plan.empty());
-    EXPECT_EQ(plan.actionFor(0, "w:LRU", 1).kind,
+    EXPECT_EQ(plan.actionFor(0, "w:LRU", 1),
               FaultKind::None);
 }
 
 TEST(FaultPlan, SelectsByIndex)
 {
     const FaultPlan plan = FaultPlan::parse("throw@3");
-    EXPECT_EQ(plan.actionFor(3, "any", 1).kind, FaultKind::Throw);
-    EXPECT_EQ(plan.actionFor(2, "any", 1).kind, FaultKind::None);
+    EXPECT_EQ(plan.actionFor(3, "any", 1), FaultKind::Throw);
+    EXPECT_EQ(plan.actionFor(2, "any", 1), FaultKind::None);
 }
 
 TEST(FaultPlan, SelectsByLabelWithColon)
@@ -546,26 +459,18 @@ TEST(FaultPlan, SelectsByLabelWithColon)
     // Cell labels contain ':' — the selector split must happen at
     // the first '@', not the first ':'.
     const FaultPlan plan = FaultPlan::parse("hang@429.mcf:RLR");
-    EXPECT_EQ(plan.actionFor(7, "429.mcf:RLR", 1).kind,
+    EXPECT_EQ(plan.actionFor(7, "429.mcf:RLR", 1),
               FaultKind::Hang);
-    EXPECT_EQ(plan.actionFor(7, "429.mcf:LRU", 1).kind,
+    EXPECT_EQ(plan.actionFor(7, "429.mcf:LRU", 1),
               FaultKind::None);
-}
-
-TEST(FaultPlan, TransientCarriesAttemptCount)
-{
-    const auto action =
-        FaultPlan::parse("transient:3@0").actionFor(0, "x", 1);
-    EXPECT_EQ(action.kind, FaultKind::Transient);
-    EXPECT_EQ(action.fail_attempts, 3u);
 }
 
 TEST(FaultPlan, MultipleEntriesFirstMatchWins)
 {
     const FaultPlan plan =
         FaultPlan::parse("throw@1,hang@1,abort@2");
-    EXPECT_EQ(plan.actionFor(1, "x", 1).kind, FaultKind::Throw);
-    EXPECT_EQ(plan.actionFor(2, "x", 1).kind,
+    EXPECT_EQ(plan.actionFor(1, "x", 1), FaultKind::Throw);
+    EXPECT_EQ(plan.actionFor(2, "x", 1),
               FaultKind::AbortProcess);
 }
 
@@ -576,14 +481,14 @@ TEST(FaultPlan, RateIsDeterministicAndBounded)
     const FaultPlan half = FaultPlan::parse("throw%0.5");
     int hits = 0;
     for (size_t i = 0; i < 200; ++i) {
-        EXPECT_EQ(all.actionFor(i, "x", 9).kind,
+        EXPECT_EQ(all.actionFor(i, "x", 9),
                   FaultKind::Throw);
-        EXPECT_EQ(none.actionFor(i, "x", 9).kind,
+        EXPECT_EQ(none.actionFor(i, "x", 9),
                   FaultKind::None);
         // Same (seed, index) always gives the same decision.
-        EXPECT_EQ(half.actionFor(i, "x", 9).kind,
-                  half.actionFor(i, "x", 9).kind);
-        if (half.actionFor(i, "x", 9).kind == FaultKind::Throw)
+        EXPECT_EQ(half.actionFor(i, "x", 9),
+                  half.actionFor(i, "x", 9));
+        if (half.actionFor(i, "x", 9) == FaultKind::Throw)
             ++hits;
     }
     EXPECT_GT(hits, 50);
@@ -600,8 +505,8 @@ TEST(FaultPlan, RejectsMalformedSpecs)
                  std::runtime_error); // empty selector
     EXPECT_THROW(FaultPlan::parse("throw%2.0"),
                  std::runtime_error); // rate out of range
-    EXPECT_THROW(FaultPlan::parse("transient:0@1"),
-                 std::runtime_error); // zero attempt count
-    EXPECT_THROW(FaultPlan::parse("transient:x@1"),
-                 std::runtime_error); // junk attempt count
+    EXPECT_THROW(FaultPlan::parse("throw:2@1"),
+                 std::runtime_error); // attempt-count suffix
+    EXPECT_THROW(FaultPlan::parse("transient@1"),
+                 std::runtime_error); // retired kind
 }

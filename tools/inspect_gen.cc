@@ -380,8 +380,8 @@ renderTop(const obs::Heartbeat &hb)
     out += "  workers:\n";
     for (const auto &w : hb.workers) {
         out += util::format(
-            "    w{:<3} {:<28} attempt {}  {:>7.1f}s{}\n",
-            w.worker, w.cell, w.attempt, w.age_s,
+            "    w{:<3} {:<28} {:>7.1f}s{}\n",
+            w.worker, w.cell, w.age_s,
             w.age_s > straggler_cut ? "  << STRAGGLER" : "");
     }
     return out;
